@@ -102,8 +102,10 @@ impl Default for ExperimentParams {
 pub const STANDARD_LABELS: [&str; 4] = ["Traditional", "Naive", "MRU", "Partial"];
 
 /// Runs the Figures 3–6 hierarchy (16K-16 L1, 256K-32 L2) at each of the
-/// given associativities with the standard strategy set, regenerating the
-/// same deterministic trace for every run.
+/// given associativities with the standard strategy set. Every run replays
+/// the same deterministic trace, so the sweep generates each segment once
+/// and replays it through all the associativities (see
+/// [`simulate_many`](crate::runner::simulate_many)).
 pub(crate) fn sweep_standard(
     params: &ExperimentParams,
     assocs: &[u32],

@@ -46,7 +46,13 @@ pub fn chunk_ranges(len: usize, chunks: usize) -> Vec<Range<usize>> {
 /// available parallelism — in both cases clamped to the queue length, so a
 /// two-shard sweep never spawns a machine's worth of idle workers.
 pub fn worker_threads(queue_len: usize) -> usize {
-    let requested = std::env::var("SETA_THREADS")
+    requested_threads().min(queue_len.max(1))
+}
+
+/// [`worker_threads`] before the clamp to the queue length: what a caller
+/// sizing the queue itself should plan for.
+pub(crate) fn requested_threads() -> usize {
+    std::env::var("SETA_THREADS")
         .ok()
         .and_then(|s| s.parse::<usize>().ok())
         .filter(|&n| n > 0)
@@ -54,8 +60,7 @@ pub fn worker_threads(queue_len: usize) -> usize {
             std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1)
-        });
-    requested.min(queue_len.max(1))
+        })
 }
 
 #[cfg(test)]

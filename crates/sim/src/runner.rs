@@ -1,5 +1,6 @@
 //! The simulation loop: one trace pass scores every lookup strategy.
 
+use crate::partition::{chunk_ranges, requested_threads};
 use serde::{Deserialize, Serialize};
 use seta_cache::{
     CacheConfig, CacheStats, L2Observer, L2RequestKind, L2RequestView, TwoLevel, TwoLevelStats,
@@ -10,6 +11,7 @@ use seta_core::lookup::{
 use seta_core::packed::LaneSpec;
 use seta_core::{model, MruDistanceHistogram, ProbeStats, SetView};
 use seta_obs::{labeled, ServeHandle, ServeHeartbeat, SpanBuffer, SpanClock, SpanId, SpanTrace};
+use seta_trace::gen::AtumLike;
 use seta_trace::TraceEvent;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -389,12 +391,29 @@ impl RunSpec {
     /// simulating segments separately and summing the counters is
     /// bit-identical to one sequential pass.
     fn splits_by_segment(&self) -> bool {
-        self.trace.flush_between_segments && self.trace.segments > 1
+        self.trace.flush_between_segments
+    }
+
+    /// Whether `other` replays the identical event stream, so one
+    /// generated segment can serve both.
+    fn shares_trace_with(&self, other: &RunSpec) -> bool {
+        self.trace == other.trace && self.seed == other.seed
     }
 
     /// Simulates segments `start..end` of this spec on a fresh hierarchy,
-    /// returning the mergeable counters.
+    /// streaming them straight from the generator.
     fn run_segments(&self, start: usize, end: usize) -> ShardOutcome {
+        self.run_events(AtumLike::segment_range(
+            self.trace.clone(),
+            self.seed,
+            start,
+            end,
+        ))
+    }
+
+    /// Simulates `events` on a fresh hierarchy, returning the mergeable
+    /// counters.
+    fn run_events(&self, events: impl IntoIterator<Item = TraceEvent>) -> ShardOutcome {
         let strategies = standard_strategies(self.l2.associativity(), self.tag_bits);
         let mut hierarchy = TwoLevel::with_l2_policy(self.l1, self.l2, seta_cache::Policy::Lru, 0)
             .expect("L1 blocks must fit in L2 blocks");
@@ -402,10 +421,7 @@ impl RunSpec {
             hierarchy.enable_partial_lanes(spec);
         }
         let mut scorer = Scorer::new(&strategies, self.l2.associativity());
-        hierarchy.run(
-            seta_trace::gen::AtumLike::segment_range(self.trace.clone(), self.seed, start, end),
-            &mut scorer,
-        );
+        hierarchy.run(events, &mut scorer);
         let (l1_stats, l2_stats) = hierarchy.level_stats();
         ShardOutcome {
             hierarchy: *hierarchy.stats(),
@@ -419,15 +435,74 @@ impl RunSpec {
     }
 }
 
-/// One work item of a sharded sweep: a contiguous segment range of one spec.
+/// One work item of a sharded sweep: a contiguous segment range simulated
+/// under each of `specs`, which all replay the same trace and seed.
 pub(crate) struct Shard {
-    spec: usize,
+    /// Ascending indices into the sweep's specs.
+    specs: Vec<usize>,
     seg_start: usize,
     seg_end: usize,
 }
 
-/// The mergeable counters one shard produces. Everything in a
-/// [`RunOutcome`] except the labels is a sum (or a ratio of sums) of these.
+impl Shard {
+    /// Simulates this shard under each of its specs, returning one outcome
+    /// per spec. A single spec streams straight from the generator; several
+    /// specs share one generation of the segments, buffered in `buf` (kept
+    /// by the worker across shards and sized exactly, so a worker holds at
+    /// most one segment's events at a time).
+    fn run(&self, specs: &[RunSpec], buf: &mut Vec<TraceEvent>) -> Vec<ShardOutcome> {
+        let head = &specs[self.specs[0]];
+        if self.specs.len() == 1 {
+            return vec![head.run_segments(self.seg_start, self.seg_end)];
+        }
+        let segments = self.seg_end - self.seg_start;
+        buf.clear();
+        buf.reserve_exact(segments * (head.trace.refs_per_segment as usize + 1));
+        buf.extend(AtumLike::segment_range(
+            head.trace.clone(),
+            head.seed,
+            self.seg_start,
+            self.seg_end,
+        ));
+        self.specs
+            .iter()
+            .map(|&i| specs[i].run_events(buf.iter().copied()))
+            .collect()
+    }
+
+    /// Span name: the spec indices (consecutive runs collapsed) and the
+    /// segment range, e.g. `specs0-23 seg5..6` or `spec4 seg0..3`.
+    fn name(&self) -> String {
+        let mut runs: Vec<(usize, usize)> = Vec::new();
+        for &i in &self.specs {
+            match runs.last_mut() {
+                Some((_, last)) if *last + 1 == i => *last = i,
+                _ => runs.push((i, i)),
+            }
+        }
+        let runs: Vec<String> = runs
+            .iter()
+            .map(|&(first, last)| {
+                if first == last {
+                    first.to_string()
+                } else {
+                    format!("{first}-{last}")
+                }
+            })
+            .collect();
+        let plural = if self.specs.len() == 1 { "" } else { "s" };
+        format!(
+            "spec{plural}{} seg{}..{}",
+            runs.join(","),
+            self.seg_start,
+            self.seg_end
+        )
+    }
+}
+
+/// The mergeable counters one shard produces for one spec. Everything in
+/// a [`RunOutcome`] except the labels is a sum (or a ratio of sums) of
+/// these.
 pub(crate) struct ShardOutcome {
     hierarchy: TwoLevelStats,
     l1_stats: CacheStats,
@@ -439,7 +514,7 @@ pub(crate) struct ShardOutcome {
 }
 
 impl ShardOutcome {
-    /// Folds `other` (a later segment range of the same spec) into `self`.
+    /// Folds `other` (another segment range of the same spec) into `self`.
     fn merge(&mut self, other: ShardOutcome) {
         self.hierarchy += other.hierarchy;
         self.l1_stats += other.l1_stats;
@@ -483,33 +558,65 @@ impl ShardOutcome {
     }
 }
 
-/// Splits the sweep into its unit of parallelism: one shard per cold-start
-/// segment for specs that decompose, one whole-spec shard otherwise (warm
-/// traces carry cache state across segment boundaries and must run
-/// sequentially).
-fn shard_plan(specs: &[RunSpec]) -> Vec<Shard> {
-    let mut shards = Vec::new();
+/// Splits the sweep into its units of parallelism for `workers` workers.
+///
+/// Cold specs that replay the same trace and seed form a group (groups in
+/// order of first appearance), and each group yields one shard per
+/// cold-start segment, so every segment is generated once for the whole
+/// group. A group with fewer segments than `2 × workers` also splits its
+/// spec list into `⌈2·workers / segments⌉` contiguous slices (at most one
+/// per spec), one shard per slice and segment, so a short trace still
+/// feeds every worker. Warm specs carry cache state across segment
+/// boundaries and run as one whole-spec shard each.
+fn shard_plan(specs: &[RunSpec], workers: usize) -> Vec<Shard> {
+    let mut groups: Vec<Vec<usize>> = Vec::new();
     for (i, spec) in specs.iter().enumerate() {
-        if spec.splits_by_segment() {
-            for k in 0..spec.trace.segments {
+        let shared = groups
+            .iter_mut()
+            .find(|g| spec.splits_by_segment() && specs[g[0]].shares_trace_with(spec));
+        match shared {
+            Some(group) => group.push(i),
+            None => groups.push(vec![i]),
+        }
+    }
+    let mut shards = Vec::new();
+    for group in groups {
+        let trace = &specs[group[0]].trace;
+        if !specs[group[0]].splits_by_segment() {
+            shards.push(Shard {
+                specs: group,
+                seg_start: 0,
+                seg_end: trace.segments,
+            });
+            continue;
+        }
+        let slices = if trace.segments < 2 * workers {
+            (2 * workers).div_ceil(trace.segments)
+        } else {
+            1
+        };
+        let slices = chunk_ranges(group.len(), slices);
+        for k in 0..trace.segments {
+            for slice in &slices {
                 shards.push(Shard {
-                    spec: i,
+                    specs: group[slice.clone()].to_vec(),
                     seg_start: k,
                     seg_end: k + 1,
                 });
             }
-        } else {
-            shards.push(Shard {
-                spec: i,
-                seg_start: 0,
-                seg_end: spec.trace.segments,
-            });
         }
     }
     shards
 }
 
-use crate::partition::worker_threads;
+/// Plans a sweep for `requested` workers: the shard list, and the worker
+/// count clamped to it so no worker starts with nothing to do.
+fn plan(specs: &[RunSpec], requested: usize) -> (Vec<Shard>, usize) {
+    let requested = requested.max(1);
+    let shards = shard_plan(specs, requested);
+    let threads = requested.min(shards.len().max(1));
+    (shards, threads)
+}
 
 /// Hooks the sharded sweep loop calls around each unit of work.
 ///
@@ -528,8 +635,9 @@ pub(crate) trait SweepTracer: Sync {
     fn worker_start(&self, track: u32) -> Self::Worker;
     /// Called when the worker dequeues a shard, before simulating it.
     fn shard_begin(&self, worker: &mut Self::Worker, shard: &Shard);
-    /// Called when the shard's simulation finishes, with its counters.
-    fn shard_end(&self, worker: &mut Self::Worker, out: &ShardOutcome);
+    /// Called when the shard's simulation finishes, with one outcome per
+    /// spec in the shard.
+    fn shard_end(&self, worker: &mut Self::Worker, outs: &[ShardOutcome]);
     /// Called when the queue is drained, still on the worker's thread.
     fn worker_finish(&self, worker: Self::Worker);
     /// Brackets the sequential fold of shard outcomes on the main thread.
@@ -545,7 +653,7 @@ impl SweepTracer for NoTracer {
     type Worker = ();
     fn worker_start(&self, _track: u32) {}
     fn shard_begin(&self, _worker: &mut (), _shard: &Shard) {}
-    fn shard_end(&self, _worker: &mut (), _out: &ShardOutcome) {}
+    fn shard_end(&self, _worker: &mut (), _outs: &[ShardOutcome]) {}
     fn worker_finish(&self, _worker: ()) {}
     fn merge_begin(&self) {}
     fn merge_end(&self) {}
@@ -625,21 +733,21 @@ impl SweepTracer for SweepSpanTracer {
 
     fn shard_begin(&self, w: &mut SpanWorker, shard: &Shard) {
         w.buf.close(w.wait);
-        let name = format!(
-            "spec{} seg{}..{}",
-            shard.spec, shard.seg_start, shard.seg_end
-        );
-        w.current = Some(w.buf.open(name, "shard"));
+        w.current = Some(w.buf.open(shard.name(), "shard"));
     }
 
-    fn shard_end(&self, w: &mut SpanWorker, out: &ShardOutcome) {
+    fn shard_end(&self, w: &mut SpanWorker, outs: &[ShardOutcome]) {
         let id = w.current.take().expect("shard_begin opened the span");
-        w.buf.counter(id, "refs", out.hierarchy.processor_refs);
-        w.buf.counter(id, "read_ins", out.hierarchy.read_ins);
+        let sum = |f: fn(&ShardOutcome) -> u64| outs.iter().map(f).sum();
         w.buf
-            .counter(id, "read_in_hits", out.hierarchy.read_in_hits);
-        w.buf.counter(id, "write_backs", out.hierarchy.write_backs);
-        w.buf.counter(id, "probes", shard_probe_total(&out.results));
+            .counter(id, "refs", sum(|o| o.hierarchy.processor_refs));
+        w.buf.counter(id, "read_ins", sum(|o| o.hierarchy.read_ins));
+        w.buf
+            .counter(id, "read_in_hits", sum(|o| o.hierarchy.read_in_hits));
+        w.buf
+            .counter(id, "write_backs", sum(|o| o.hierarchy.write_backs));
+        w.buf
+            .counter(id, "probes", sum(|o| shard_probe_total(&o.results)));
         w.buf.close(id);
         w.wait = w.buf.open("queue-wait", "queue-wait");
     }
@@ -754,11 +862,11 @@ impl SweepTracer for ServeSweepTracer {
         });
     }
 
-    fn shard_end(&self, w: &mut SpanWorker, out: &ShardOutcome) {
-        self.inner.shard_end(w, out);
+    fn shard_end(&self, w: &mut SpanWorker, outs: &[ShardOutcome]) {
+        self.inner.shard_end(w, outs);
         let worker = w.buf.track().to_string();
-        let shard_refs = out.hierarchy.processor_refs;
-        let shard_probes = shard_probe_total(&out.results);
+        let shard_refs: u64 = outs.iter().map(|o| o.hierarchy.processor_refs).sum();
+        let shard_probes: u64 = outs.iter().map(|o| shard_probe_total(&o.results)).sum();
         let refs = self.refs.fetch_add(shard_refs, Ordering::Relaxed) + shard_refs;
         self.handle.update_metrics(|m| {
             let c = m.counter("sweep_shards_done_total");
@@ -800,29 +908,39 @@ fn shard_probe_total(results: &[(ProbeStats, ProbeStats)]) -> u64 {
 /// Runs a sweep of independent simulations across a sharded work queue,
 /// returning outcomes in spec order.
 ///
-/// Parallelism is per *segment*, not per spec: each cold-start trace
-/// segment is an independent unit of work (the paper's methodology flushes
-/// the hierarchy between segments), so even a single multi-segment spec
-/// fans out across every worker. Per-shard counters merge exactly —
-/// results are bit-identical to running each spec serially through
-/// [`simulate`], whatever the worker count.
+/// The unit of work is one cold-start trace segment of one *trace group*:
+/// the specs that replay the same trace and seed, as every geometry of a
+/// Table 4 or Figures 3–6 sweep does. A worker generates the segment once
+/// and replays it through each spec of the group on its own fresh
+/// hierarchy, so generation is paid once per segment rather than once per
+/// spec, and even a single multi-segment trace fans out across every
+/// worker (the paper's methodology flushes the hierarchy between
+/// segments, which makes them independent). A group whose trace has fewer
+/// segments than twice the worker count is also split into contiguous
+/// slices of specs, so short traces keep every worker busy. Warm traces
+/// (no flushes) carry cache state across segments and run as one shard
+/// per spec, streamed from the generator. Per-shard counters merge
+/// exactly — results are bit-identical to running each spec serially
+/// through [`simulate`], whatever the worker count.
+///
+/// Memory: each worker holds at most one generated segment, 16 bytes per
+/// event — 160 KB for 10,000-reference segments, 5.6 MB for the paper's
+/// 350,000-reference ones. Single-spec groups and warm specs buffer
+/// nothing.
 ///
 /// Worker count is `min(available_parallelism, shard count)`; set
 /// `SETA_THREADS` to pin it (e.g. `SETA_THREADS=1` for a reproducible
 /// sequential CI run).
 pub fn simulate_many(specs: &[RunSpec]) -> Vec<RunOutcome> {
-    let shards = shard_plan(specs);
-    let threads = worker_threads(shards.len());
-    simulate_sharded(specs, shards, threads, &NoTracer)
+    simulate_many_with_threads(specs, requested_threads())
 }
 
 /// [`simulate_many`] with an explicit worker count, ignoring
 /// `SETA_THREADS` and the machine's parallelism. Useful for measuring
 /// scaling and for tests that must not depend on the environment.
 pub fn simulate_many_with_threads(specs: &[RunSpec], threads: usize) -> Vec<RunOutcome> {
-    let shards = shard_plan(specs);
-    let threads = threads.max(1).min(shards.len().max(1));
-    simulate_sharded(specs, shards, threads, &NoTracer)
+    let (shards, threads) = plan(specs, threads);
+    simulate_sharded(specs, &shards, threads, &NoTracer)
 }
 
 /// [`simulate_many`] with span tracing: outcomes are bit-identical to the
@@ -833,9 +951,7 @@ pub fn simulate_many_with_threads(specs: &[RunSpec], threads: usize) -> Vec<RunO
 /// [`SweepReport`](crate::sweep_report::SweepReport) for utilization
 /// analysis or export it as Perfetto JSON.
 pub fn simulate_many_traced(specs: &[RunSpec]) -> (Vec<RunOutcome>, SpanTrace) {
-    let shards = shard_plan(specs);
-    let threads = worker_threads(shards.len());
-    simulate_many_traced_impl(specs, shards, threads)
+    simulate_many_traced_with_threads(specs, requested_threads())
 }
 
 /// [`simulate_many_traced`] with an explicit worker count.
@@ -843,20 +959,10 @@ pub fn simulate_many_traced_with_threads(
     specs: &[RunSpec],
     threads: usize,
 ) -> (Vec<RunOutcome>, SpanTrace) {
-    let shards = shard_plan(specs);
-    let threads = threads.max(1).min(shards.len().max(1));
-    simulate_many_traced_impl(specs, shards, threads)
-}
-
-fn simulate_many_traced_impl(
-    specs: &[RunSpec],
-    shards: Vec<Shard>,
-    threads: usize,
-) -> (Vec<RunOutcome>, SpanTrace) {
+    let (shards, threads) = plan(specs, threads);
     let tracer = SweepSpanTracer::new();
-    let shard_count = shards.len();
-    let outcomes = simulate_sharded(specs, shards, threads, &tracer);
-    (outcomes, tracer.finish(shard_count, threads))
+    let outcomes = simulate_sharded(specs, &shards, threads, &tracer);
+    (outcomes, tracer.finish(shards.len(), threads))
 }
 
 /// [`simulate_many_traced`] additionally publishing live sweep progress —
@@ -871,9 +977,7 @@ pub fn simulate_many_served(
     specs: &[RunSpec],
     handle: ServeHandle,
 ) -> (Vec<RunOutcome>, SpanTrace) {
-    let shards = shard_plan(specs);
-    let threads = worker_threads(shards.len());
-    simulate_many_served_impl(specs, shards, threads, handle)
+    simulate_many_served_with_threads(specs, requested_threads(), handle)
 }
 
 /// [`simulate_many_served`] with an explicit worker count.
@@ -882,81 +986,73 @@ pub fn simulate_many_served_with_threads(
     threads: usize,
     handle: ServeHandle,
 ) -> (Vec<RunOutcome>, SpanTrace) {
-    let shards = shard_plan(specs);
-    let threads = threads.max(1).min(shards.len().max(1));
-    simulate_many_served_impl(specs, shards, threads, handle)
-}
-
-fn simulate_many_served_impl(
-    specs: &[RunSpec],
-    shards: Vec<Shard>,
-    threads: usize,
-    handle: ServeHandle,
-) -> (Vec<RunOutcome>, SpanTrace) {
+    let (shards, threads) = plan(specs, threads);
     let tracer = ServeSweepTracer::new(handle, shards.len(), threads);
-    let shard_count = shards.len();
-    let outcomes = simulate_sharded(specs, shards, threads, &tracer);
-    (outcomes, tracer.finish(shard_count, threads))
+    let outcomes = simulate_sharded(specs, &shards, threads, &tracer);
+    (outcomes, tracer.finish(shards.len(), threads))
 }
 
 fn simulate_sharded<T: SweepTracer>(
     specs: &[RunSpec],
-    shards: Vec<Shard>,
+    shards: &[Shard],
     threads: usize,
     tracer: &T,
 ) -> Vec<RunOutcome> {
     use std::sync::atomic::AtomicUsize;
-    use std::sync::Mutex;
 
-    let mut slots: Vec<Option<ShardOutcome>> = Vec::new();
-    if threads <= 1 {
-        let mut worker = tracer.worker_start(1);
-        slots.extend(shards.iter().map(|s| {
-            tracer.shard_begin(&mut worker, s);
-            let out = specs[s.spec].run_segments(s.seg_start, s.seg_end);
-            tracer.shard_end(&mut worker, &out);
-            Some(out)
-        }));
-        tracer.worker_finish(worker);
-    } else {
-        let shared: Vec<Mutex<Option<ShardOutcome>>> =
-            shards.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for track in 1..=threads as u32 {
-                let (shards, shared, next) = (&shards, &shared, &next);
-                scope.spawn(move || {
-                    let mut worker = tracer.worker_start(track);
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(shard) = shards.get(i) else { break };
-                        tracer.shard_begin(&mut worker, shard);
-                        let out = specs[shard.spec].run_segments(shard.seg_start, shard.seg_end);
-                        tracer.shard_end(&mut worker, &out);
-                        *shared[i].lock().expect("no panics while holding the slot") = Some(out);
-                    }
-                    tracer.worker_finish(worker);
-                });
-            }
-        });
-        slots.extend(shared.into_iter().map(|slot| {
-            Some(
-                slot.into_inner()
-                    .expect("worker threads joined cleanly")
-                    .expect("every slot was filled"),
-            )
-        }));
+    // Every counter is an integer sum, so the order outcomes fold in
+    // cannot change a bit of the result.
+    fn fold(acc: &mut Option<ShardOutcome>, out: ShardOutcome) {
+        match acc {
+            None => *acc = Some(out),
+            Some(acc) => acc.merge(out),
+        }
     }
 
-    // Fold each spec's shards back together in segment order. Shards were
-    // emitted in (spec, segment) order, so a single forward pass suffices.
+    // One worker: drains the shared queue, folding each shard's per-spec
+    // outcomes into its own per-spec totals as it goes, and reuses one
+    // segment buffer across shards.
+    let next = AtomicUsize::new(0);
+    let drain = |track: u32| -> Vec<Option<ShardOutcome>> {
+        let mut worker = tracer.worker_start(track);
+        let mut buf = Vec::new();
+        let mut totals: Vec<Option<ShardOutcome>> = specs.iter().map(|_| None).collect();
+        while let Some(shard) = shards.get(next.fetch_add(1, Ordering::Relaxed)) {
+            tracer.shard_begin(&mut worker, shard);
+            let outs = shard.run(specs, &mut buf);
+            tracer.shard_end(&mut worker, &outs);
+            debug_assert_eq!(shard.specs.len(), outs.len(), "one outcome per spec");
+            for (&spec, out) in shard.specs.iter().zip(outs) {
+                fold(&mut totals[spec], out);
+            }
+        }
+        tracer.worker_finish(worker);
+        totals
+    };
+    let per_worker: Vec<Vec<Option<ShardOutcome>>> = if threads <= 1 {
+        vec![drain(1)]
+    } else {
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (1..=threads as u32)
+                .map(|track| {
+                    let drain = &drain;
+                    scope.spawn(move || drain(track))
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("sweep worker panicked"))
+                .collect()
+        })
+    };
+
     tracer.merge_begin();
     let mut outcomes: Vec<Option<ShardOutcome>> = specs.iter().map(|_| None).collect();
-    for (shard, slot) in shards.iter().zip(&mut slots) {
-        let out = slot.take().expect("every shard produced an outcome");
-        match &mut outcomes[shard.spec] {
-            acc @ None => *acc = Some(out),
-            Some(acc) => acc.merge(out),
+    for totals in per_worker {
+        for (acc, out) in outcomes.iter_mut().zip(totals) {
+            if let Some(out) = out {
+                fold(acc, out);
+            }
         }
     }
     let outcomes = outcomes
@@ -1298,15 +1394,113 @@ mod tests {
         }
     }
 
+    /// `(specs, seg_start, seg_end)` of every shard, for plan assertions.
+    fn plan_shape(plan: &[Shard]) -> Vec<(Vec<usize>, usize, usize)> {
+        plan.iter()
+            .map(|s| (s.specs.clone(), s.seg_start, s.seg_end))
+            .collect()
+    }
+
     #[test]
     fn shard_plan_splits_cold_specs_per_segment() {
         let cold = multiseg_spec(4, 2, 1);
         let mut warm = multiseg_spec(3, 2, 1);
         warm.trace.flush_between_segments = false;
-        let plan = shard_plan(&[cold, warm]);
+        let plan = shard_plan(&[cold, warm], 1);
         assert_eq!(plan.len(), 5); // 4 cold segments + 1 warm whole-spec
         assert!(plan[..4].iter().all(|s| s.seg_end - s.seg_start == 1));
-        assert_eq!((plan[4].seg_start, plan[4].seg_end), (0, 3));
+        assert_eq!(
+            plan_shape(&plan),
+            vec![
+                (vec![0], 0, 1),
+                (vec![0], 1, 2),
+                (vec![0], 2, 3),
+                (vec![0], 3, 4),
+                (vec![1], 0, 3),
+            ]
+        );
+    }
+
+    #[test]
+    fn shard_plan_groups_by_trace_and_seed_in_first_appearance_order() {
+        let mut warm = multiseg_spec(2, 4, 1);
+        warm.trace.flush_between_segments = false;
+        let mut longer = multiseg_spec(2, 4, 1);
+        longer.trace.refs_per_segment += 1;
+        let specs = [
+            multiseg_spec(2, 2, 1), // group A
+            multiseg_spec(2, 4, 2), // group B: another seed
+            multiseg_spec(2, 8, 1), // group A
+            warm,                   // same seed as A but warm: alone
+            multiseg_spec(2, 2, 2), // group B
+            longer,                 // same seed as A, another trace: alone
+            multiseg_spec(2, 4, 1), // group A
+        ];
+        assert_eq!(
+            plan_shape(&shard_plan(&specs, 1)),
+            vec![
+                (vec![0, 2, 6], 0, 1),
+                (vec![0, 2, 6], 1, 2),
+                (vec![1, 4], 0, 1),
+                (vec![1, 4], 1, 2),
+                (vec![3], 0, 2),
+                (vec![5], 0, 1),
+                (vec![5], 1, 2),
+            ]
+        );
+    }
+
+    #[test]
+    fn shard_plan_keeps_warm_specs_whole_even_when_they_share_a_trace() {
+        let mut warm = multiseg_spec(3, 4, 5);
+        warm.trace.flush_between_segments = false;
+        let mut warm8 = warm.clone();
+        warm8.l2 = CacheConfig::new(32 * 1024, 32, 8).unwrap();
+        assert_eq!(
+            plan_shape(&shard_plan(&[warm, warm8], 8)),
+            vec![(vec![0], 0, 3), (vec![1], 0, 3)]
+        );
+    }
+
+    #[test]
+    fn shard_plan_slices_groups_with_fewer_segments_than_twice_the_workers() {
+        let specs: Vec<RunSpec> = [1u32, 2, 4, 8, 16]
+            .iter()
+            .map(|&a| multiseg_spec(2, a, 3))
+            .collect();
+        // 2 segments ≥ 2 × 1 worker: the whole group rides each shard.
+        assert_eq!(
+            plan_shape(&shard_plan(&specs, 1)),
+            vec![(vec![0, 1, 2, 3, 4], 0, 1), (vec![0, 1, 2, 3, 4], 1, 2)]
+        );
+        // 2 segments < 2 × 4 workers: ⌈8 / 2⌉ = 4 contiguous slices.
+        let slices = [vec![0, 1], vec![2], vec![3], vec![4]];
+        let expected: Vec<_> = (0..2)
+            .flat_map(|k| slices.iter().map(move |s| (s.clone(), k, k + 1)))
+            .collect();
+        assert_eq!(plan_shape(&shard_plan(&specs, 4)), expected);
+        // Never more slices than specs.
+        let plan = shard_plan(&specs[..3], 16);
+        assert_eq!(plan.len(), 2 * 3);
+        assert!(plan.iter().all(|s| s.specs.len() == 1));
+    }
+
+    #[test]
+    fn buffered_events_are_sixteen_bytes() {
+        // The documented memory cost of a shared segment buffer.
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 16);
+    }
+
+    #[test]
+    fn shard_names_collapse_consecutive_specs() {
+        let shard = |specs: Vec<usize>, seg_start, seg_end| Shard {
+            specs,
+            seg_start,
+            seg_end,
+        };
+        assert_eq!(shard((0..24).collect(), 5, 6).name(), "specs0-23 seg5..6");
+        assert_eq!(shard(vec![4], 0, 3).name(), "spec4 seg0..3");
+        assert_eq!(shard(vec![0, 2, 3, 7], 1, 2).name(), "specs0,2-3,7 seg1..2");
     }
 
     #[test]

@@ -213,7 +213,7 @@ mod tests {
 
         let mut w1 = SpanBuffer::new(1, clock.clone());
         let root = w1.open_at("worker-1", "worker", 0);
-        let a = w1.open_at("spec0 seg0..1", "shard", 0);
+        let a = w1.open_at("specs0-23 seg0..1", "shard", 0);
         w1.counter(a, "refs", 1000);
         w1.close_at(a, 60);
         let wait = w1.open_at("queue-wait", "queue-wait", 60);
@@ -225,8 +225,8 @@ mod tests {
         let mut w2 = SpanBuffer::new(2, clock);
         let root = w2.open_at("worker-2", "worker", 0);
         for (name, start, end, refs) in [
-            ("spec0 seg1..2", 0u64, 20u64, 500u64),
-            ("spec0 seg2..3", 20, 40, 500),
+            ("specs0-23 seg1..2", 0u64, 20u64, 500u64),
+            ("specs0-23 seg2..3", 20, 40, 500),
         ] {
             let s = w2.open_at(name, "shard", start);
             w2.counter(s, "refs", refs);
@@ -258,7 +258,7 @@ mod tests {
         assert_eq!(r.queue_wait_micros, 60);
         // Mean busy (50) over max busy (60).
         assert!((r.load_balance - 50.0 / 60.0).abs() < 1e-12);
-        assert_eq!(r.critical_shard, Some(("spec0 seg0..1".to_owned(), 60)));
+        assert_eq!(r.critical_shard, Some(("specs0-23 seg0..1".to_owned(), 60)));
         assert_eq!(r.shard_refs.count, 3);
         assert_eq!(r.shard_refs.sum, 2000);
         assert_eq!(r.shard_wall_micros.count, 3);
@@ -279,7 +279,7 @@ mod tests {
         let r = SweepReport::from_trace(&synthetic_trace());
         let text = r.render();
         assert!(text.contains("worker-1"), "{text}");
-        assert!(text.contains("critical shard: spec0 seg0..1"), "{text}");
+        assert!(text.contains("critical shard: specs0-23 seg0..1"), "{text}");
         assert!(text.contains("load balance 0.833"), "{text}");
         let mut manifest = RunManifest::new("0.0.0");
         r.annotate(&mut manifest);
@@ -293,9 +293,9 @@ mod tests {
 
     #[test]
     fn report_from_a_real_traced_sweep_accounts_for_every_shard() {
-        let spec = RunSpec {
+        let spec = |assoc| RunSpec {
             l1: CacheConfig::direct_mapped(4 * 1024, 16).unwrap(),
-            l2: CacheConfig::new(32 * 1024, 32, 4).unwrap(),
+            l2: CacheConfig::new(32 * 1024, 32, assoc).unwrap(),
             trace: {
                 let mut c = AtumLikeConfig::paper_like();
                 c.segments = 5;
@@ -305,13 +305,19 @@ mod tests {
             seed: 3,
             tag_bits: 16,
         };
-        let (outcomes, trace) = simulate_many_traced_with_threads(&[spec], 2);
+        let (outcomes, trace) = simulate_many_traced_with_threads(&[spec(4), spec(8)], 2);
         let r = SweepReport::from_trace(&trace);
         assert_eq!(r.workers.len(), 2);
         let shards: u64 = r.workers.iter().map(|w| w.shards).sum();
-        assert_eq!(shards, 5, "every cold segment became a shard");
+        assert_eq!(
+            shards, 5,
+            "every cold segment of the shared trace became a shard"
+        );
         assert_eq!(r.shard_refs.count, 5);
-        assert_eq!(r.shard_refs.sum, outcomes[0].hierarchy.processor_refs);
+        let refs: u64 = outcomes.iter().map(|o| o.hierarchy.processor_refs).sum();
+        assert_eq!(r.shard_refs.sum, refs);
+        let (name, _) = r.critical_shard.as_ref().expect("a shard ran");
+        assert!(name.starts_with("specs0-1 seg"), "{name}");
         assert!(r.load_balance > 0.0 && r.load_balance <= 1.0);
         assert!(r.wall_micros > 0);
         for w in &r.workers {

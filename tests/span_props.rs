@@ -14,6 +14,47 @@ use seta::sim::runner::{
 use seta::sim::RunOutcome;
 use seta::trace::gen::{AtumLike, AtumLikeConfig, MultiprogramConfig};
 
+/// The cache shapes the generated sweeps draw from, as in `shard_props`.
+fn geometry(shape: usize) -> (CacheConfig, CacheConfig) {
+    match shape {
+        0 => (
+            CacheConfig::direct_mapped(256, 16).expect("valid L1"),
+            CacheConfig::new(2048, 32, 4).expect("valid L2"),
+        ),
+        1 => (
+            CacheConfig::direct_mapped(512, 32).expect("valid L1"),
+            CacheConfig::new(4096, 32, 8).expect("valid L2"),
+        ),
+        2 => (
+            CacheConfig::new(512, 16, 2).expect("valid L1"),
+            CacheConfig::new(2048, 16, 4).expect("valid L2"),
+        ),
+        3 => (
+            CacheConfig::direct_mapped(256, 16).expect("valid L1"),
+            CacheConfig::new(4096, 32, 16).expect("valid L2"),
+        ),
+        _ => (
+            CacheConfig::new(512, 16, 2).expect("valid L1"),
+            CacheConfig::new(2048, 32, 2).expect("valid L2"),
+        ),
+    }
+}
+
+/// A short-quantum trace, so even tiny segments context switch and touch
+/// the OS stream.
+fn trace_config(segments: usize, refs_per_segment: u64, cold: bool) -> AtumLikeConfig {
+    AtumLikeConfig {
+        segments,
+        refs_per_segment,
+        flush_between_segments: cold,
+        multiprogram: MultiprogramConfig {
+            mean_quantum: 50,
+            os_burst: 8,
+            ..MultiprogramConfig::default()
+        },
+    }
+}
+
 /// A small but structurally complete sweep spec, as in `shard_props`:
 /// 1–4 segments, cold or warm, mixed cache shapes.
 fn arbitrary_spec() -> impl Strategy<Value = RunSpec> {
@@ -22,38 +63,36 @@ fn arbitrary_spec() -> impl Strategy<Value = RunSpec> {
         (any::<bool>(), any::<u64>(), 0usize..3),
     )
         .prop_map(|((segments, refs_per_segment), (cold, seed, shape))| {
-            let multiprogram = MultiprogramConfig {
-                mean_quantum: 50,
-                os_burst: 8,
-                ..MultiprogramConfig::default()
-            };
-            let (l1, l2) = match shape {
-                0 => (
-                    CacheConfig::direct_mapped(256, 16).expect("valid L1"),
-                    CacheConfig::new(2048, 32, 4).expect("valid L2"),
-                ),
-                1 => (
-                    CacheConfig::direct_mapped(512, 32).expect("valid L1"),
-                    CacheConfig::new(4096, 32, 8).expect("valid L2"),
-                ),
-                _ => (
-                    CacheConfig::new(512, 16, 2).expect("valid L1"),
-                    CacheConfig::new(2048, 16, 4).expect("valid L2"),
-                ),
-            };
+            let (l1, l2) = geometry(shape);
             RunSpec {
                 l1,
                 l2,
-                trace: AtumLikeConfig {
-                    segments,
-                    refs_per_segment,
-                    flush_between_segments: cold,
-                    multiprogram,
-                },
+                trace: trace_config(segments, refs_per_segment, cold),
                 seed,
                 tag_bits: 14,
             }
         })
+}
+
+/// 2–5 cold specs over distinct geometries, all replaying one trace and
+/// seed: a single trace group.
+fn shared_trace_specs() -> impl Strategy<Value = Vec<RunSpec>> {
+    (1usize..=4, 100u64..400, any::<u64>(), 2usize..=5).prop_map(
+        |(segments, refs_per_segment, seed, sharing)| {
+            (0..sharing)
+                .map(|shape| {
+                    let (l1, l2) = geometry(shape);
+                    RunSpec {
+                        l1,
+                        l2,
+                        trace: trace_config(segments, refs_per_segment, true),
+                        seed,
+                        tag_bits: 14,
+                    }
+                })
+                .collect()
+        },
+    )
 }
 
 fn fingerprint(outcome: &RunOutcome) -> String {
@@ -168,6 +207,56 @@ proptest! {
             prop_assert_eq!(trace.with_cat("sweep").count(), 1);
             prop_assert_eq!(trace.with_cat("merge").count(), 1);
             prop_assert!(trace.with_cat("worker").count() >= 1);
+        }
+    }
+
+    /// A sweep that is one trace group records one shard span per segment
+    /// and spec slice: the whole group when the trace has at least twice
+    /// as many segments as workers, otherwise `⌈2·workers / segments⌉`
+    /// slices (at most one per spec). Each span's counters sum over its
+    /// slice, so the totals still conserve every run's statistics.
+    #[test]
+    fn shared_trace_sweep_records_one_span_per_segment_and_slice(
+        specs in shared_trace_specs(),
+    ) {
+        let expected: Vec<String> = specs.iter().map(sequential).collect();
+        let segments = specs[0].trace.segments;
+        for threads in [1usize, 2, 16] {
+            let (outcomes, trace) = simulate_many_traced_with_threads(&specs, threads);
+            for (i, out) in outcomes.iter().enumerate() {
+                prop_assert_eq!(
+                    &fingerprint(out),
+                    &expected[i],
+                    "spec {} diverged at {} worker(s)",
+                    i,
+                    threads
+                );
+            }
+            assert_tracks_well_formed(&trace);
+            let slices = if segments < 2 * threads {
+                (2 * threads).div_ceil(segments).min(specs.len())
+            } else {
+                1
+            };
+            prop_assert_eq!(
+                trace.with_cat("shard").count(),
+                segments * slices,
+                "shard spans at {} worker(s)",
+                threads
+            );
+            for (counter, total) in [
+                ("refs", outcomes.iter().map(|o| o.hierarchy.processor_refs).sum::<u64>()),
+                ("read_ins", outcomes.iter().map(|o| o.hierarchy.read_ins).sum()),
+                ("read_in_hits", outcomes.iter().map(|o| o.hierarchy.read_in_hits).sum()),
+                ("write_backs", outcomes.iter().map(|o| o.hierarchy.write_backs).sum()),
+                ("probes", outcomes.iter().map(outcome_probes).sum()),
+            ] {
+                let spans: u64 = trace
+                    .with_cat("shard")
+                    .filter_map(|s| s.counter(counter))
+                    .sum();
+                prop_assert_eq!(spans, total, "{} at {} worker(s)", counter, threads);
+            }
         }
     }
 
