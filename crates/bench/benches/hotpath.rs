@@ -17,9 +17,8 @@ use seta_sim::runner::{simulate, simulate_many_with_threads, standard_strategies
 use seta_trace::gen::AtumLike;
 use std::hint::black_box;
 
-/// Per-access cost of every lookup implementation, un-instrumented: this
-/// is the path `LookupStrategy::lookup` monomorphizes (its internal
-/// observer hooks compile to nothing).
+/// Per-access cost of every lookup implementation, un-instrumented: the
+/// branchless fast paths `StrategyKind::lookup` dispatches to.
 fn bench_lookup_per_access(c: &mut Criterion) {
     let inputs = bench_inputs();
     let mut g = c.benchmark_group("hotpath/lookup");
@@ -39,9 +38,9 @@ fn bench_lookup_per_access(c: &mut Criterion) {
     g.finish();
 }
 
-/// The same searches through `lookup_observed` with a do-nothing observer
-/// behind a `&mut dyn` — the dynamic-dispatch cost the un-instrumented
-/// path avoids. If `hotpath/lookup/*` ever climbs toward
+/// The same searches through the scalar `lookup_observed` with a
+/// do-nothing observer behind a `&mut dyn` — the reference search and the
+/// per-event dynamic dispatch the un-instrumented path avoids. If `hotpath/lookup/*` ever climbs toward
 /// `hotpath/lookup_observed/*`, the no-op observer has stopped
 /// monomorphizing away; `bench_guard`'s wall gate fails the commit.
 fn bench_lookup_observed_noop(c: &mut Criterion) {
@@ -55,10 +54,10 @@ fn bench_lookup_observed_noop(c: &mut Criterion) {
         let short = name.rsplit('/').next().expect("guard names are prefixed");
         g.bench_with_input(BenchmarkId::from_parameter(short), strategy, |b, s| {
             b.iter(|| {
-                let mut obs = Noop;
+                let obs: &mut dyn ProbeObserver = &mut Noop;
                 let mut probes = 0u64;
                 for (view, tag) in &inputs.views {
-                    probes += s.lookup_observed(view, *tag, &mut obs).probes as u64;
+                    probes += s.lookup_observed(view, *tag, obs).probes as u64;
                 }
                 black_box(probes)
             })

@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use seta_cache::{CacheConfig, HashRehashCache, MattsonAnalyzer, MultiLevel, SwapTwoWay, TwoLevel};
-use seta_core::lookup::{LookupStrategy, Mru, Naive, PartialCompare, Traditional, TransformKind};
+use seta_core::lookup::{Mru, Naive, PartialCompare, StrategyKind, Traditional, TransformKind};
 use seta_core::transform::{Improved, TagTransform, XorFold};
 use seta_core::SetView;
 use seta_trace::gen::{AtumLike, AtumLikeConfig, Multiprogram, MultiprogramConfig};
@@ -34,22 +34,22 @@ fn random_views(n: usize, seed: u64) -> Vec<(SetView, u64)> {
 
 fn bench_lookup_strategies(c: &mut Criterion) {
     let views = random_views(1024, 7);
-    let strategies: Vec<(&str, Box<dyn LookupStrategy>)> = vec![
-        ("traditional", Box::new(Traditional)),
-        ("naive", Box::new(Naive)),
-        ("mru_full", Box::new(Mru::full())),
-        ("mru_list2", Box::new(Mru::truncated(2))),
+    let strategies = [
+        ("traditional", StrategyKind::Traditional(Traditional)),
+        ("naive", StrategyKind::Naive(Naive)),
+        ("mru_full", StrategyKind::Mru(Mru::full())),
+        ("mru_list2", StrategyKind::Mru(Mru::truncated(2))),
         (
             "partial_s1_improved",
-            Box::new(PartialCompare::new(16, 1, TransformKind::Improved)),
+            StrategyKind::Partial(PartialCompare::new(16, 1, TransformKind::Improved)),
         ),
         (
             "partial_s2_improved",
-            Box::new(PartialCompare::new(16, 2, TransformKind::Improved)),
+            StrategyKind::Partial(PartialCompare::new(16, 2, TransformKind::Improved)),
         ),
         (
             "partial_s1_none",
-            Box::new(PartialCompare::new(16, 1, TransformKind::None)),
+            StrategyKind::Partial(PartialCompare::new(16, 1, TransformKind::None)),
         ),
     ];
     let mut g = c.benchmark_group("lookup");

@@ -31,8 +31,7 @@
 
 use seta_cache::CacheConfig;
 use seta_core::lookup::{
-    Banked, LookupStrategy, Mru, Naive, PartialCompare, ScanOrder, StrategyKind, Traditional,
-    TransformKind,
+    Banked, Mru, Naive, PartialCompare, ScanOrder, StrategyKind, Traditional, TransformKind,
 };
 use seta_obs::RunManifest;
 use seta_serve::LoadSpec;
@@ -815,34 +814,21 @@ fn run_one(name: &str, p: &ExperimentParams, out: Output) -> Result<(), String> 
 }
 
 /// The lookup strategy pricing every shared-cache request in
-/// `bench-serve`, as both the statically dispatched kind the served cache
-/// takes and the boxed form the sequential reference simulation takes.
-fn serve_strategy(
-    name: &str,
-    assoc: u32,
-) -> Result<(StrategyKind, Box<dyn LookupStrategy>), String> {
+/// `bench-serve` and the sequential reference simulation alike.
+fn serve_strategy(name: &str, assoc: u32) -> Result<StrategyKind, String> {
     Ok(match name {
-        "traditional" => (
-            StrategyKind::Traditional(Traditional),
-            Box::new(Traditional),
-        ),
-        "naive" => (StrategyKind::Naive(Naive), Box::new(Naive)),
-        "mru" => (StrategyKind::Mru(Mru::full()), Box::new(Mru::full())),
+        "traditional" => StrategyKind::Traditional(Traditional),
+        "naive" => StrategyKind::Naive(Naive),
+        "mru" => StrategyKind::Mru(Mru::full()),
         "partial" => {
             let subsets = if assoc == 1 {
                 1
             } else {
                 seta_core::model::subsets_for_four_bit_compares(16, assoc)
             };
-            (
-                StrategyKind::Partial(PartialCompare::new(16, subsets, TransformKind::XorFold)),
-                Box::new(PartialCompare::new(16, subsets, TransformKind::XorFold)),
-            )
+            StrategyKind::Partial(PartialCompare::new(16, subsets, TransformKind::XorFold))
         }
-        "banked" => (
-            StrategyKind::Banked(Banked::new(2, ScanOrder::Frame)),
-            Box::new(Banked::new(2, ScanOrder::Frame)),
-        ),
+        "banked" => StrategyKind::Banked(Banked::new(2, ScanOrder::Frame)),
         other => {
             return Err(format!(
                 "unknown --strategy {other:?} (traditional|naive|mru|partial|banked)"
@@ -883,13 +869,12 @@ fn run_bench_serve(opts: &Options) -> Result<(), String> {
     // overridable so the strategies have something to disagree about.
     let l1 = CacheConfig::direct_mapped(4 * 1024, 16).map_err(|e| e.to_string())?;
     let l2 = CacheConfig::new(64 * 1024, 32, opts.assoc).map_err(|e| e.to_string())?;
-    let (kind, boxed) = serve_strategy(&opts.strategy, opts.assoc)?;
+    let kind = serve_strategy(&opts.strategy, opts.assoc)?;
     let mut spec = LoadSpec::new(l1, l2, kind);
     spec.stripes = opts.stripes;
     spec.sample_every = opts.sample_every.max(1);
 
-    let strategies = vec![boxed];
-    let sequential = simulate(l1, l2, events.iter().copied(), &strategies);
+    let sequential = simulate(l1, l2, events.iter().copied(), &[kind]);
 
     let threads = if opts.thread_list.is_empty() {
         vec![1, 2, 4]

@@ -27,8 +27,7 @@
 use serde::{Deserialize, Serialize};
 use seta_cache::CacheConfig;
 use seta_core::lookup::{
-    Banked, LookupStrategy, Mru, Naive, PartialCompare, ScanOrder, StrategyKind, Traditional,
-    TransformKind,
+    Banked, Mru, Naive, PartialCompare, ScanOrder, StrategyKind, Traditional, TransformKind,
 };
 use seta_core::{PackedLanes, SetView};
 use seta_obs::RunManifest;
@@ -246,40 +245,25 @@ fn lookup_batch_ways(n: usize, ways: usize) -> Vec<(SetView, u64)> {
         .collect()
 }
 
-/// The five lookup implementations the guard times, under stable names.
-fn guarded_strategies() -> Vec<(&'static str, Box<dyn LookupStrategy>)> {
-    vec![
-        ("lookup/traditional", Box::new(Traditional)),
-        ("lookup/naive", Box::new(Naive)),
-        ("lookup/mru", Box::new(Mru::full())),
-        (
-            "lookup/partial",
-            Box::new(PartialCompare::new(16, 2, TransformKind::XorFold)),
-        ),
-        ("lookup/banked", Box::new(Banked::new(2, ScanOrder::Frame))),
-    ]
-}
-
-/// The same five implementations for one of the paper's table
-/// associativities, named `<prefix>/<strategy>`. The partial-compare
-/// subset count follows §2.2's 4-bit-compare rule at t = 16: s = 1, 2, 4
-/// for a = 4, 8, 16 — k stays 4 across the groups, so the per-assoc
-/// benchmarks isolate the cost of set width, not slice width.
-fn assoc_strategies(prefix: &str, ways: usize) -> Vec<(String, Box<dyn LookupStrategy>)> {
+/// The five lookup implementations the guard times for one of the
+/// paper's table associativities, named `<prefix>/<strategy>`. The
+/// partial-compare subset count follows §2.2's 4-bit-compare rule at
+/// t = 16: s = 1, 2, 4 for a = 4, 8, 16 — k stays 4 across the groups, so
+/// the per-assoc benchmarks isolate the cost of set width, not slice width.
+fn assoc_strategies(prefix: &str, ways: usize) -> Vec<(String, StrategyKind)> {
     let subsets = (ways as u32 / 4).max(1);
-    vec![
-        (format!("{prefix}/traditional"), Box::new(Traditional) as _),
-        (format!("{prefix}/naive"), Box::new(Naive) as _),
-        (format!("{prefix}/mru"), Box::new(Mru::full()) as _),
-        (
-            format!("{prefix}/partial"),
-            Box::new(PartialCompare::new(16, subsets, TransformKind::XorFold)) as _,
-        ),
-        (
-            format!("{prefix}/banked"),
-            Box::new(Banked::new(2, ScanOrder::Frame)) as _,
-        ),
-    ]
+    let strategies = [
+        StrategyKind::Traditional(Traditional),
+        StrategyKind::Naive(Naive),
+        StrategyKind::Mru(Mru::full()),
+        StrategyKind::Partial(PartialCompare::new(16, subsets, TransformKind::XorFold)),
+        StrategyKind::Banked(Banked::new(2, ScanOrder::Frame)),
+    ];
+    ["traditional", "naive", "mru", "partial", "banked"]
+        .into_iter()
+        .zip(strategies)
+        .map(|(name, s)| (format!("{prefix}/{name}"), s))
+        .collect()
 }
 
 fn tiny_events() -> Vec<TraceEvent> {
@@ -331,7 +315,7 @@ pub struct BenchInputs {
     /// The fixed batch of set views and probe tags for per-access lookups.
     pub views: Vec<(SetView, u64)>,
     /// The five guarded strategies under their stable `lookup/*` names.
-    pub strategies: Vec<(&'static str, Box<dyn LookupStrategy>)>,
+    pub strategies: Vec<(String, StrategyKind)>,
     /// The bundled Dinero trace, parsed.
     pub tiny_events: Vec<TraceEvent>,
     /// The multi-segment sweep spec (full-size variant).
@@ -342,7 +326,7 @@ pub struct BenchInputs {
 pub fn bench_inputs() -> BenchInputs {
     BenchInputs {
         views: lookup_batch(1024),
-        strategies: guarded_strategies(),
+        strategies: assoc_strategies("lookup", 8),
         tiny_events: tiny_events(),
         sweep_spec: sweep_spec(false),
     }
@@ -373,26 +357,22 @@ pub fn measure(cfg: &GuardConfig) -> GuardReport {
     for (ways, prefix) in [(8usize, "lookup"), (4, "lookup_a4"), (16, "lookup_a16")] {
         let views = lookup_batch_ways(1024, ways);
         for (name, strategy) in assoc_strategies(prefix, ways) {
-            let kind = strategy.kind();
             // Partial compare reads cache-maintained packed lane words in
             // the simulator (kept coherent incrementally at fill time), so
             // its per-access cost is measured over prebuilt lanes — the
             // packing is store-time work, not lookup-time work.
-            let lanes = match kind {
-                Some(StrategyKind::Partial(p)) => p.lane_spec(ways).map(|spec| {
-                    let mut lanes = PackedLanes::new(spec, views.len());
-                    for (set, (view, _)) in views.iter().enumerate() {
-                        lanes.rebuild_set(set, view.tags());
-                    }
-                    lanes
-                }),
-                _ => None,
-            };
+            let lanes = strategy.lane_spec(ways).map(|spec| {
+                let mut lanes = PackedLanes::new(spec, views.len());
+                for (set, (view, _)) in views.iter().enumerate() {
+                    lanes.rebuild_set(set, view.tags());
+                }
+                lanes
+            });
             let phase = manifest.begin_phase(&name);
             let (median, probes, accesses) = run_passes(cfg.passes, || {
                 let mut probes = 0u64;
-                match (kind, &lanes) {
-                    (Some(StrategyKind::Partial(p)), Some(lanes)) => {
+                match (strategy, &lanes) {
+                    (StrategyKind::Partial(p), Some(lanes)) => {
                         for _ in 0..reps {
                             for (set, (view, tag)) in views.iter().enumerate() {
                                 probes +=
@@ -400,17 +380,10 @@ pub fn measure(cfg: &GuardConfig) -> GuardReport {
                             }
                         }
                     }
-                    (Some(k), _) => {
+                    (k, _) => {
                         for _ in 0..reps {
                             for (view, tag) in &views {
                                 probes += k.lookup(view, *tag).probes as u64;
-                            }
-                        }
-                    }
-                    (None, _) => {
-                        for _ in 0..reps {
-                            for (view, tag) in &views {
-                                probes += strategy.lookup(view, *tag).probes as u64;
                             }
                         }
                     }
@@ -545,7 +518,7 @@ pub fn measure(cfg: &GuardConfig) -> GuardReport {
         l1,
         l2,
         serve_events.iter().copied(),
-        &[Box::new(Mru::full()) as Box<dyn LookupStrategy>],
+        &[StrategyKind::Mru(Mru::full())],
     );
     let baseline_1t = seta_serve::replay(&serve_events, 1, &serve_spec);
     assert!(baseline_1t.conserves(), "serve tallies do not conserve");

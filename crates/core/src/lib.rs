@@ -20,7 +20,8 @@
 //!
 //! Submodules:
 //!
-//! * [`lookup`] — the four strategies behind the [`LookupStrategy`] trait.
+//! * [`lookup`] — the strategies, and the [`StrategyKind`] enum that
+//!   dispatches over them.
 //! * [`observe`] — the zero-cost [`ProbeObserver`] hook exposing the
 //!   micro-events behind each lookup's probe count.
 //! * [`transform`] — GF(2)-linear tag transformations that randomize the
@@ -40,7 +41,7 @@
 //! Price one lookup under two implementations:
 //!
 //! ```
-//! use seta_core::lookup::{LookupStrategy, Naive, Traditional};
+//! use seta_core::lookup::{Naive, Traditional};
 //! use seta_core::SetView;
 //!
 //! // A 4-way set holding tags 7, 9, 3, 5; MRU order [2, 0, 3, 1].
@@ -66,7 +67,7 @@ pub mod timing;
 pub mod transform;
 
 pub use dist::MruDistanceHistogram;
-pub use lookup::{Lookup, LookupStrategy, StrategyKind};
+pub use lookup::{Lookup, StrategyKind};
 pub use observe::ProbeObserver;
 pub use packed::{LaneSpec, LaneView, PackedLanes};
 pub use probe::{ProbeStats, Tally};

@@ -7,7 +7,7 @@
 //! `b` stored tags per probe, so a set of `a` ways is searched in groups
 //! of `b` — `⌈a/b⌉` probes on a miss instead of `a`.
 
-use crate::lookup::{Lookup, LookupStrategy};
+use crate::lookup::Lookup;
 use crate::observe::ProbeObserver;
 use crate::set_view::SetView;
 
@@ -42,7 +42,7 @@ impl std::fmt::Display for ScanOrder {
 /// # Example
 ///
 /// ```
-/// use seta_core::lookup::{Banked, LookupStrategy, ScanOrder};
+/// use seta_core::lookup::{Banked, ScanOrder};
 /// use seta_core::SetView;
 ///
 /// let view = SetView::from_parts(&[5, 6, 7, 8], &[true; 4], &[0, 1, 2, 3]);
@@ -103,7 +103,15 @@ impl Banked {
         }
     }
 
-    fn search<P: ProbeObserver + ?Sized>(&self, view: &SetView, tag: u64, obs: &mut P) -> Lookup {
+    /// The scalar reference search behind [`lookup`](Self::lookup),
+    /// reporting the MRU-list read (under [`ScanOrder::Mru`]) and every
+    /// group probe to `obs`. Returns exactly what `lookup` returns.
+    pub fn lookup_observed<P: ProbeObserver + ?Sized>(
+        &self,
+        view: &SetView,
+        tag: u64,
+        obs: &mut P,
+    ) -> Lookup {
         if view.ways() == 1 {
             obs.tag_probe(0);
             return Lookup {
@@ -119,19 +127,19 @@ impl Banked {
             }
         }
     }
-}
 
-impl LookupStrategy for Banked {
+    /// Searches `view` for `tag`, `b` ways per probe in the scan order.
+    //
     // `(total + b - 1) / b` beats `div_ceil` here: the bench guard
     // measures ~5 ns/access more for the div_ceil form on the miss path
     // (its extra remainder + branch defeats the single-division codegen).
     #[allow(clippy::manual_div_ceil)]
     #[inline]
-    fn lookup(&self, view: &SetView, tag: u64) -> Lookup {
+    pub fn lookup(&self, view: &SetView, tag: u64) -> Lookup {
         // Fast path on the whole-set equality bitmask: a frame-order scan
         // reduces to ctz/division, an MRU-order scan to the first order
-        // entry whose mask bit is set. `search` stays as the scalar
-        // reference behind `lookup_observed`.
+        // entry whose mask bit is set. `lookup_observed` stays as the
+        // scalar reference.
         let total = view.ways() as u32;
         if total == 1 {
             return Lookup {
@@ -177,20 +185,9 @@ impl LookupStrategy for Banked {
         }
     }
 
-    fn lookup_observed(&self, view: &SetView, tag: u64, obs: &mut dyn ProbeObserver) -> Lookup {
-        self.search(view, tag, obs)
-    }
-
-    fn name(&self) -> String {
+    /// Short name for reports, e.g. `"banked[b=2,mru]"`.
+    pub fn name(&self) -> String {
         format!("banked[b={},{}]", self.banks, self.order)
-    }
-
-    fn kind_name(&self) -> &'static str {
-        "banked"
-    }
-
-    fn kind(&self) -> Option<crate::lookup::StrategyKind> {
-        Some(crate::lookup::StrategyKind::Banked(*self))
     }
 }
 

@@ -22,6 +22,9 @@
 //!
 //! A one-way set is a direct-mapped lookup; every strategy prices it at
 //! one probe, which is where the curves of Figure 3 converge.
+//!
+//! [`StrategyKind`] is the closed set of these five: the one strategy type
+//! the simulator, the experiments and the concurrent cache take.
 
 mod banked;
 mod mru;
@@ -36,6 +39,7 @@ pub use partial::{PartialCompare, TransformKind};
 pub use traditional::Traditional;
 
 use crate::observe::ProbeObserver;
+use crate::packed::{LaneSpec, LaneView};
 use crate::set_view::SetView;
 
 /// Result of pricing one lookup.
@@ -54,56 +58,14 @@ impl Lookup {
     }
 }
 
-/// An implementation of set-associative lookup.
-pub trait LookupStrategy {
-    /// Searches `view` for `tag`, returning where it was found and how many
-    /// probes the search cost.
-    ///
-    /// `tag` is the full-width incoming tag; strategies that model narrow
-    /// stored tags (e.g. [`PartialCompare`]) extract the bits they need.
-    fn lookup(&self, view: &SetView, tag: u64) -> Lookup;
-
-    /// [`lookup`](Self::lookup) with a [`ProbeObserver`] receiving the
-    /// micro-events behind the probe count (ways scanned, MRU-list reads,
-    /// partial-compare candidates and false matches).
-    ///
-    /// Returns exactly what `lookup` returns: observation never changes
-    /// the search. The default implementation forwards to `lookup` and
-    /// emits nothing; every strategy in this module overrides it with the
-    /// shared search code, so the un-instrumented `lookup` path
-    /// monomorphizes the observer hooks away while this entry point pays
-    /// one dynamic dispatch per event.
-    fn lookup_observed(&self, view: &SetView, tag: u64, _obs: &mut dyn ProbeObserver) -> Lookup {
-        self.lookup(view, tag)
-    }
-
-    /// Short name for reports, e.g. `"mru"` or `"partial"`.
-    fn name(&self) -> String;
-
-    /// The strategy's kind as a static string (`"mru"`, `"partial"`, …) —
-    /// the allocation-free form of [`name`](Self::name) for hot report and
-    /// heartbeat loops that label output per strategy per window. Unlike
-    /// `name`, it omits per-instance configuration.
-    fn kind_name(&self) -> &'static str {
-        "custom"
-    }
-
-    /// The closed-enum form of this strategy, if it is one of the built-in
-    /// implementations. Scorer hot loops use this to dispatch statically
-    /// (one match instead of a virtual call per access); external
-    /// strategies return `None` and keep working through the vtable.
-    fn kind(&self) -> Option<StrategyKind> {
-        None
-    }
-}
-
-/// The built-in lookup implementations as a closed enum.
+/// The built-in lookup implementations as a closed enum — the one
+/// strategy type the simulator, the experiments and the concurrent cache
+/// all take.
 ///
-/// `Box<dyn LookupStrategy>` stays the extensibility surface for CLIs and
-/// experiments, but a per-access virtual call blocks inlining of the
-/// branchless fast paths. Hot loops resolve each boxed strategy to its
-/// `StrategyKind` once (via [`LookupStrategy::kind`]) and then dispatch
-/// through one jump table whose arms inline fully.
+/// Each variant wraps its strategy's configuration. Dispatch is one jump
+/// table whose arms inline fully, so the per-access loops keep the
+/// branchless fast paths; a new lookup method is one more variant and one
+/// more arm in each match below.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StrategyKind {
     /// [`Traditional`] parallel lookup.
@@ -119,7 +81,11 @@ pub enum StrategyKind {
 }
 
 impl StrategyKind {
-    /// Statically dispatched [`LookupStrategy::lookup`].
+    /// Searches `view` for `tag`, returning where it was found and how many
+    /// probes the search cost.
+    ///
+    /// `tag` is the full-width incoming tag; strategies that model narrow
+    /// stored tags (e.g. [`PartialCompare`]) extract the bits they need.
     #[inline]
     pub fn lookup(&self, view: &SetView, tag: u64) -> Lookup {
         match self {
@@ -131,9 +97,21 @@ impl StrategyKind {
         }
     }
 
-    /// Statically dispatched [`LookupStrategy::lookup_observed`].
+    /// [`lookup`](Self::lookup) through the strategy's scalar reference
+    /// search, with a [`ProbeObserver`] receiving the micro-events behind
+    /// the probe count (ways scanned, MRU-list reads, partial-compare
+    /// candidates and false matches).
+    ///
+    /// Returns exactly what `lookup` returns: observation never changes
+    /// the search. The observer type is generic, so a concrete recorder
+    /// monomorphizes its event hooks into the search loop.
     #[inline]
-    pub fn lookup_observed(&self, view: &SetView, tag: u64, obs: &mut dyn ProbeObserver) -> Lookup {
+    pub fn lookup_observed<P: ProbeObserver + ?Sized>(
+        &self,
+        view: &SetView,
+        tag: u64,
+        obs: &mut P,
+    ) -> Lookup {
         match self {
             StrategyKind::Traditional(s) => s.lookup_observed(view, tag, obs),
             StrategyKind::Naive(s) => s.lookup_observed(view, tag, obs),
@@ -143,7 +121,42 @@ impl StrategyKind {
         }
     }
 
-    /// Statically dispatched [`LookupStrategy::name`].
+    /// The packed-lane geometry this strategy reads on an `a`-way cache:
+    /// [`PartialCompare::lane_spec`] for a partial compare, `None` for
+    /// every strategy that compares whole tags. A cache that maintains
+    /// [`PackedLanes`](crate::PackedLanes) under this spec lets
+    /// [`lookup_lanes`](Self::lookup_lanes) skip the per-lookup packing.
+    pub fn lane_spec(&self, ways: usize) -> Option<LaneSpec> {
+        match self {
+            StrategyKind::Partial(p) => p.lane_spec(ways),
+            _ => None,
+        }
+    }
+
+    /// [`lookup`](Self::lookup), reading cache-maintained packed lanes
+    /// when they fit: a partial compare whose
+    /// [`lane_spec`](Self::lane_spec) for this view equals the lanes' spec
+    /// runs [`PartialCompare::lookup_packed`]. Every other case — another
+    /// strategy, lanes packed under a different spec, or no lanes — falls
+    /// back to `lookup`. The result is identical either way.
+    #[inline]
+    pub fn lookup_lanes(&self, view: &SetView, lanes: Option<LaneView<'_>>, tag: u64) -> Lookup {
+        match (self, lanes) {
+            // `lane_spec(ways) == Some(spec)` field by field, skipping the
+            // divisions that validate a spec: any existing spec is valid.
+            (StrategyKind::Partial(p), Some(l))
+                if l.spec().ways() as usize == view.ways()
+                    && l.spec().tag_bits() == p.tag_bits()
+                    && l.spec().subsets() == p.subsets()
+                    && l.spec().transform() == p.transform() =>
+            {
+                p.lookup_packed(view, &l, tag)
+            }
+            _ => self.lookup(view, tag),
+        }
+    }
+
+    /// Short name for reports, e.g. `"mru"` or `"partial[t=16,s=1,xor]"`.
     pub fn name(&self) -> String {
         match self {
             StrategyKind::Traditional(s) => s.name(),
@@ -154,15 +167,13 @@ impl StrategyKind {
         }
     }
 
-    /// Statically dispatched [`LookupStrategy::kind_name`].
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            StrategyKind::Traditional(s) => s.kind_name(),
-            StrategyKind::Naive(s) => s.kind_name(),
-            StrategyKind::Mru(s) => s.kind_name(),
-            StrategyKind::Partial(s) => s.kind_name(),
-            StrategyKind::Banked(s) => s.kind_name(),
-        }
+    /// Always `Some(*self)`. Kept only for the standalone benchmark
+    /// package, whose `perfbench/src/layers.rs` still resolves each
+    /// `standard_strategies` element through it; delete it with that
+    /// caller.
+    #[doc(hidden)]
+    pub fn kind(&self) -> Option<StrategyKind> {
+        Some(*self)
     }
 }
 
@@ -214,18 +225,18 @@ mod tests {
         }
     }
 
-    fn all_strategies() -> Vec<Box<dyn LookupStrategy>> {
+    fn all_strategies() -> Vec<StrategyKind> {
         vec![
-            Box::new(Traditional),
-            Box::new(Naive),
-            Box::new(Mru::full()),
-            Box::new(Mru::truncated(2)),
-            Box::new(PartialCompare::new(16, 1, TransformKind::XorFold)),
-            Box::new(PartialCompare::new(16, 2, TransformKind::Improved)),
-            Box::new(PartialCompare::new(32, 1, TransformKind::None)),
-            Box::new(PartialCompare::new(16, 1, TransformKind::Swap)),
-            Box::new(Banked::new(2, ScanOrder::Frame)),
-            Box::new(Banked::new(4, ScanOrder::Mru)),
+            StrategyKind::Traditional(Traditional),
+            StrategyKind::Naive(Naive),
+            StrategyKind::Mru(Mru::full()),
+            StrategyKind::Mru(Mru::truncated(2)),
+            StrategyKind::Partial(PartialCompare::new(16, 1, TransformKind::XorFold)),
+            StrategyKind::Partial(PartialCompare::new(16, 2, TransformKind::Improved)),
+            StrategyKind::Partial(PartialCompare::new(32, 1, TransformKind::None)),
+            StrategyKind::Partial(PartialCompare::new(16, 1, TransformKind::Swap)),
+            StrategyKind::Banked(Banked::new(2, ScanOrder::Frame)),
+            StrategyKind::Banked(Banked::new(4, ScanOrder::Mru)),
         ]
     }
 

@@ -1,6 +1,6 @@
 //! The MRU-ordered serial implementation.
 
-use crate::lookup::{Lookup, LookupStrategy};
+use crate::lookup::Lookup;
 use crate::observe::ProbeObserver;
 use crate::set_view::SetView;
 
@@ -22,7 +22,7 @@ use crate::set_view::SetView;
 /// # Example
 ///
 /// ```
-/// use seta_core::lookup::{LookupStrategy, Mru};
+/// use seta_core::lookup::Mru;
 /// use seta_core::SetView;
 ///
 /// // Way 2 is the MRU block.
@@ -71,7 +71,15 @@ impl Mru {
         head.chain(tail)
     }
 
-    fn search<P: ProbeObserver + ?Sized>(&self, view: &SetView, tag: u64, obs: &mut P) -> Lookup {
+    /// The scalar reference search behind [`lookup`](Self::lookup),
+    /// reporting the MRU-list read and every way it scans to `obs`.
+    /// Returns exactly what `lookup` returns.
+    pub fn lookup_observed<P: ProbeObserver + ?Sized>(
+        &self,
+        view: &SetView,
+        tag: u64,
+        obs: &mut P,
+    ) -> Lookup {
         if view.ways() == 1 {
             // Direct-mapped: no list, single compare.
             obs.tag_probe(0);
@@ -97,15 +105,14 @@ impl Mru {
             probes,
         }
     }
-}
 
-impl LookupStrategy for Mru {
-    fn lookup(&self, view: &SetView, tag: u64) -> Lookup {
+    /// Searches `view` for `tag`: the MRU list, then the set in list order.
+    pub fn lookup(&self, view: &SetView, tag: u64) -> Lookup {
         // Branchless fast path: one whole-set equality bitmask, then the
         // scan position falls out of mask arithmetic — the listed prefix
         // is walked for a position, the unlisted tail's position is the
-        // hit's rank among unlisted ways. `search` stays as the scalar
-        // reference behind `lookup_observed`.
+        // hit's rank among unlisted ways. `lookup_observed` stays as the
+        // scalar reference.
         let ways = view.ways();
         if ways == 1 {
             return Lookup {
@@ -148,23 +155,13 @@ impl LookupStrategy for Mru {
         }
     }
 
-    fn lookup_observed(&self, view: &SetView, tag: u64, obs: &mut dyn ProbeObserver) -> Lookup {
-        self.search(view, tag, obs)
-    }
-
-    fn name(&self) -> String {
+    /// Short name for reports: `"mru"`, or `"mru[len]"` for a truncated
+    /// list.
+    pub fn name(&self) -> String {
         match self.list_len {
             None => "mru".into(),
             Some(l) => format!("mru[{l}]"),
         }
-    }
-
-    fn kind_name(&self) -> &'static str {
-        "mru"
-    }
-
-    fn kind(&self) -> Option<crate::lookup::StrategyKind> {
-        Some(crate::lookup::StrategyKind::Mru(*self))
     }
 }
 

@@ -1,6 +1,6 @@
 //! The naive serial implementation.
 
-use crate::lookup::{Lookup, LookupStrategy};
+use crate::lookup::Lookup;
 use crate::observe::ProbeObserver;
 use crate::set_view::SetView;
 
@@ -14,7 +14,7 @@ use crate::set_view::SetView;
 /// # Example
 ///
 /// ```
-/// use seta_core::lookup::{LookupStrategy, Naive};
+/// use seta_core::lookup::Naive;
 /// use seta_core::SetView;
 ///
 /// let view = SetView::from_parts(&[5, 6, 7, 8], &[true; 4], &[0, 1, 2, 3]);
@@ -25,7 +25,15 @@ use crate::set_view::SetView;
 pub struct Naive;
 
 impl Naive {
-    fn search<P: ProbeObserver + ?Sized>(&self, view: &SetView, tag: u64, obs: &mut P) -> Lookup {
+    /// The scalar reference search behind [`lookup`](Self::lookup),
+    /// reporting every way it scans to `obs`. Returns exactly what
+    /// `lookup` returns.
+    pub fn lookup_observed<P: ProbeObserver + ?Sized>(
+        &self,
+        view: &SetView,
+        tag: u64,
+        obs: &mut P,
+    ) -> Lookup {
         for w in 0..view.ways() {
             obs.tag_probe(w as u8);
             if view.is_valid(w) && view.tag(w) == tag {
@@ -40,15 +48,14 @@ impl Naive {
             probes: view.ways() as u32,
         }
     }
-}
 
-impl LookupStrategy for Naive {
-    fn lookup(&self, view: &SetView, tag: u64) -> Lookup {
+    /// Searches `view` for `tag` in frame order.
+    pub fn lookup(&self, view: &SetView, tag: u64) -> Lookup {
         // An early-exit frame-order scan beats a whole-set equality mask
         // here: hits cluster at low scan positions, so the serial loop
         // touches ~half the ways on average while the mask always pays
-        // for all of them. The scalar `search` stays the observed
-        // reference; this is the same walk minus the observer calls.
+        // for all of them. This is the walk of `lookup_observed` minus
+        // the observer calls.
         for w in 0..view.ways() {
             if view.is_valid(w) && view.tag(w) == tag {
                 return Lookup {
@@ -63,20 +70,9 @@ impl LookupStrategy for Naive {
         }
     }
 
-    fn lookup_observed(&self, view: &SetView, tag: u64, obs: &mut dyn ProbeObserver) -> Lookup {
-        self.search(view, tag, obs)
-    }
-
-    fn name(&self) -> String {
+    /// Short name for reports: `"naive"`.
+    pub fn name(&self) -> String {
         "naive".into()
-    }
-
-    fn kind_name(&self) -> &'static str {
-        "naive"
-    }
-
-    fn kind(&self) -> Option<crate::lookup::StrategyKind> {
-        Some(crate::lookup::StrategyKind::Naive(*self))
     }
 }
 

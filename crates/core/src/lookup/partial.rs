@@ -1,6 +1,6 @@
 //! The partial-compare implementation.
 
-use crate::lookup::{Lookup, LookupStrategy};
+use crate::lookup::Lookup;
 use crate::observe::ProbeObserver;
 use crate::packed::{LaneCodec, LaneSpec, LaneView};
 use crate::set_view::SetView;
@@ -57,7 +57,7 @@ impl std::fmt::Display for TransformKind {
 /// # Example
 ///
 /// ```
-/// use seta_core::lookup::{LookupStrategy, PartialCompare, TransformKind};
+/// use seta_core::lookup::{PartialCompare, TransformKind};
 /// use seta_core::SetView;
 ///
 /// let p = PartialCompare::new(16, 1, TransformKind::None);
@@ -152,7 +152,22 @@ impl PartialCompare {
         (transformed_tag >> shift) & tag_mask(k)
     }
 
-    fn search<P: ProbeObserver + ?Sized>(&self, view: &SetView, tag: u64, obs: &mut P) -> Lookup {
+    /// Searches `view` for `tag`: per subset, one step-one partial probe,
+    /// then a serial full compare of each tag that passed.
+    #[inline]
+    pub fn lookup(&self, view: &SetView, tag: u64) -> Lookup {
+        self.lookup_swar(view, tag)
+    }
+
+    /// The scalar reference search behind [`lookup`](Self::lookup),
+    /// reporting every step-one probe and full-compare candidate to `obs`.
+    /// Returns exactly what `lookup` returns.
+    pub fn lookup_observed<P: ProbeObserver + ?Sized>(
+        &self,
+        view: &SetView,
+        tag: u64,
+        obs: &mut P,
+    ) -> Lookup {
         let ways = view.ways();
         if ways == 1 {
             obs.tag_probe(0);
@@ -200,7 +215,7 @@ impl PartialCompare {
         LaneSpec::try_new(self.tag_bits, self.subsets, self.transform, ways as u32)
     }
 
-    /// Probe- and result-identical to `search`, evaluated with SWAR: every
+    /// Probe- and result-identical to `lookup_observed`, evaluated with SWAR: every
     /// slot's step-one slice compare lands in one XOR + zero-field detect
     /// per subset (see [`crate::packed`]). The lane words are packed here
     /// from the view (still branch-free per way); callers that maintain
@@ -235,7 +250,7 @@ impl PartialCompare {
         )
     }
 
-    /// [`lookup`](LookupStrategy::lookup) against lane words a cache keeps
+    /// [`lookup`](Self::lookup) against lane words a cache keeps
     /// incrementally (see [`crate::PackedLanes`]) — the packing loop
     /// disappears entirely from the per-access cost.
     ///
@@ -269,31 +284,13 @@ impl PartialCompare {
             .codec
             .swar_lookup(lanes.words, view.tags(), view.valid_mask(), tag)
     }
-}
 
-impl LookupStrategy for PartialCompare {
-    #[inline]
-    fn lookup(&self, view: &SetView, tag: u64) -> Lookup {
-        self.lookup_swar(view, tag)
-    }
-
-    fn lookup_observed(&self, view: &SetView, tag: u64, obs: &mut dyn ProbeObserver) -> Lookup {
-        self.search(view, tag, obs)
-    }
-
-    fn name(&self) -> String {
+    /// Short name for reports, e.g. `"partial[t=16,s=1,xor]"`.
+    pub fn name(&self) -> String {
         format!(
             "partial[t={},s={},{}]",
             self.tag_bits, self.subsets, self.transform
         )
-    }
-
-    fn kind_name(&self) -> &'static str {
-        "partial"
-    }
-
-    fn kind(&self) -> Option<crate::lookup::StrategyKind> {
-        Some(crate::lookup::StrategyKind::Partial(*self))
     }
 }
 

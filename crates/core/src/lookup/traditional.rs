@@ -1,6 +1,6 @@
 //! The traditional parallel implementation.
 
-use crate::lookup::{Lookup, LookupStrategy};
+use crate::lookup::Lookup;
 use crate::observe::ProbeObserver;
 use crate::set_view::SetView;
 
@@ -14,7 +14,7 @@ use crate::set_view::SetView;
 /// # Example
 ///
 /// ```
-/// use seta_core::lookup::{LookupStrategy, Traditional};
+/// use seta_core::lookup::Traditional;
 /// use seta_core::SetView;
 ///
 /// let view = SetView::from_parts(&[5, 6], &[true, true], &[0, 1]);
@@ -25,22 +25,12 @@ use crate::set_view::SetView;
 pub struct Traditional;
 
 impl Traditional {
-    fn search<P: ProbeObserver + ?Sized>(&self, view: &SetView, tag: u64, obs: &mut P) -> Lookup {
-        // The whole set is read and compared in a single wide probe.
-        obs.group_probe(0, view.ways() as u8);
-        Lookup {
-            hit_way: view.matching_way(tag),
-            probes: 1,
-        }
-    }
-}
-
-impl LookupStrategy for Traditional {
+    /// Searches `view` for `tag`: one probe, hit or miss.
     #[inline]
-    fn lookup(&self, view: &SetView, tag: u64) -> Lookup {
+    pub fn lookup(&self, view: &SetView, tag: u64) -> Lookup {
         // Branchless fast path: the whole-set equality bitmask plays the
-        // role of the hardware's parallel comparators; `search` stays as
-        // the scalar reference behind `lookup_observed`.
+        // role of the hardware's parallel comparators; `lookup_observed`
+        // stays as the scalar reference.
         let m = view.eq_mask(tag);
         Lookup {
             hit_way: (m != 0).then(|| m.trailing_zeros() as u8),
@@ -48,20 +38,26 @@ impl LookupStrategy for Traditional {
         }
     }
 
-    fn lookup_observed(&self, view: &SetView, tag: u64, obs: &mut dyn ProbeObserver) -> Lookup {
-        self.search(view, tag, obs)
+    /// The scalar reference search behind [`lookup`](Self::lookup),
+    /// reporting its single wide probe to `obs`. Returns exactly what
+    /// `lookup` returns.
+    pub fn lookup_observed<P: ProbeObserver + ?Sized>(
+        &self,
+        view: &SetView,
+        tag: u64,
+        obs: &mut P,
+    ) -> Lookup {
+        // The whole set is read and compared in a single wide probe.
+        obs.group_probe(0, view.ways() as u8);
+        Lookup {
+            hit_way: view.matching_way(tag),
+            probes: 1,
+        }
     }
 
-    fn name(&self) -> String {
+    /// Short name for reports: `"traditional"`.
+    pub fn name(&self) -> String {
         "traditional".into()
-    }
-
-    fn kind_name(&self) -> &'static str {
-        "traditional"
-    }
-
-    fn kind(&self) -> Option<crate::lookup::StrategyKind> {
-        Some(crate::lookup::StrategyKind::Traditional(*self))
     }
 }
 

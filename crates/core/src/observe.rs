@@ -9,19 +9,19 @@
 //!
 //! The trait mirrors the `MetricsSink` pattern of `seta-cache`: every
 //! method defaults to a no-op and the unit type `()` implements the trait,
-//! so the un-instrumented path — `LookupStrategy::lookup`, which drives
-//! the same search code with `&mut ()` — monomorphizes the hooks away
+//! so driving a search with `&mut ()` monomorphizes the hooks away
 //! entirely. Instrumented callers go through
-//! [`LookupStrategy::lookup_observed`](crate::lookup::LookupStrategy::lookup_observed),
-//! which takes `&mut dyn ProbeObserver` so it stays object-safe for the
-//! `Box<dyn LookupStrategy>` collections the simulator uses.
+//! [`StrategyKind::lookup_observed`](crate::lookup::StrategyKind::lookup_observed)
+//! (or the same method on each strategy), which is generic in the
+//! observer: a concrete recorder compiles its hooks into the search loop,
+//! and `&mut dyn ProbeObserver` still works where a caller needs one.
 //!
 //! # Example
 //!
 //! Count the ways a naive scan examines:
 //!
 //! ```
-//! use seta_core::lookup::{LookupStrategy, Naive};
+//! use seta_core::lookup::Naive;
 //! use seta_core::{ProbeObserver, SetView};
 //!
 //! #[derive(Default)]

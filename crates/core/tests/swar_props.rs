@@ -1,24 +1,25 @@
 //! Property tests pinning the branchless/SWAR fast paths to the scalar
 //! reference implementation.
 //!
-//! Every built-in strategy keeps its original scalar `search` as the body
-//! of `lookup_observed`; the un-instrumented `lookup` runs the rewritten
+//! Every built-in strategy keeps its original scalar search as
+//! `lookup_observed`; the un-instrumented `lookup` runs the rewritten
 //! fast path. These tests drive both over the same inputs — ways 1..=32,
 //! tag widths 1..=64, all four `TransformKind`s, full and truncated MRU
 //! lists — and require bit-identical `(hit_way, probes)` results, plus the
 //! same again for `PartialCompare::lookup_packed` against incrementally
-//! maintainable lane words.
+//! maintainable lane words, and for `StrategyKind::lookup_lanes`, which
+//! decides between the two.
 
 use proptest::prelude::*;
 use seta_core::lookup::{
-    Banked, LookupStrategy, Mru, Naive, PartialCompare, ScanOrder, Traditional, TransformKind,
+    Banked, Mru, Naive, PartialCompare, ScanOrder, StrategyKind, Traditional, TransformKind,
 };
-use seta_core::packed::PackedLanes;
+use seta_core::packed::{LaneSpec, PackedLanes};
 use seta_core::{SetView, MAX_ASSOC};
 
 /// The scalar reference: `lookup_observed` with a no-op observer runs the
 /// retained pre-rewrite search loop in every built-in strategy.
-fn scalar(strategy: &dyn LookupStrategy, view: &SetView, tag: u64) -> seta_core::Lookup {
+fn scalar(strategy: &StrategyKind, view: &SetView, tag: u64) -> seta_core::Lookup {
     strategy.lookup_observed(view, tag, &mut ())
 }
 
@@ -84,8 +85,13 @@ proptest! {
             banks,
             if mru_banks { ScanOrder::Mru } else { ScanOrder::Frame },
         );
-        let strategies: [&dyn LookupStrategy; 4] = [&Traditional, &Naive, &mru, &banked];
-        for s in strategies {
+        let strategies = [
+            StrategyKind::Traditional(Traditional),
+            StrategyKind::Naive(Naive),
+            StrategyKind::Mru(mru),
+            StrategyKind::Banked(banked),
+        ];
+        for s in &strategies {
             prop_assert_eq!(
                 s.lookup(&view, tag),
                 scalar(s, &view, tag),
@@ -122,7 +128,7 @@ proptest! {
         let fast = p.lookup(&view, tag);
         prop_assert_eq!(
             fast,
-            scalar(&p, &view, tag),
+            p.lookup_observed(&view, tag, &mut ()),
             "SWAR path diverged (t={}, s={}, {:?}, ways={})",
             tag_bits, subsets, kind, ways
         );
@@ -139,6 +145,70 @@ proptest! {
                 "packed-lane path diverged (t={}, s={}, {:?}, ways={})",
                 tag_bits, subsets, kind, ways
             );
+        }
+    }
+
+    /// `lookup_lanes` equals `lookup` for every variant whether it is
+    /// handed lanes packed under the strategy's own spec (the partial
+    /// compare reads them), lanes packed under another spec (it must fall
+    /// back, not misread them), or no lanes at all.
+    #[test]
+    fn lookup_lanes_matches_lookup_for_every_variant(
+        log_ways in 1u32..=5,
+        tags in proptest::collection::vec(any::<u64>(), MAX_ASSOC),
+        valid in proptest::collection::vec(any::<bool>(), MAX_ASSOC),
+        seed in any::<u64>(),
+        pick in 0usize..=MAX_ASSOC,
+        raw_tag in any::<u64>(),
+        transform_idx in any::<u64>(),
+        subsets_sel in any::<u32>(),
+        other_transform in any::<bool>(),
+    ) {
+        let ways = 1usize << log_ways;
+        let (view, tag) = build_case(ways, &tags, &valid, seed, pick, raw_tag);
+        // 32-bit tags keep k >= 1 for every power-of-two subset count.
+        let subsets = 1u32 << (subsets_sel % (log_ways + 1));
+        let kind = transform(transform_idx);
+        let own = PartialCompare::new(32, subsets, kind);
+        // A different spec: another subset count, or another transform.
+        let other = if other_transform {
+            PartialCompare::new(32, subsets, transform(transform_idx + 1))
+        } else {
+            PartialCompare::new(32, if subsets == 1 { 2 } else { subsets / 2 }, kind)
+        };
+        let strategies = [
+            StrategyKind::Traditional(Traditional),
+            StrategyKind::Naive(Naive),
+            StrategyKind::Mru(Mru::full()),
+            StrategyKind::Mru(Mru::truncated(2)),
+            StrategyKind::Partial(own),
+            StrategyKind::Banked(Banked::new(2, ScanOrder::Mru)),
+        ];
+        let lanes_for = |spec: Option<LaneSpec>| {
+            spec.map(|spec| {
+                let mut lanes = PackedLanes::new(spec, 1);
+                lanes.rebuild_set(0, view.tags());
+                lanes
+            })
+        };
+        let own_lanes = lanes_for(own.lane_spec(ways));
+        let other_lanes = lanes_for(other.lane_spec(ways));
+        prop_assert!(ways == 1 || own_lanes.is_some(), "own spec realizable at ways={}", ways);
+        if let (Some(a), Some(b)) = (&own_lanes, &other_lanes) {
+            prop_assert_ne!(a.spec(), b.spec());
+        }
+        for s in &strategies {
+            let plain = s.lookup(&view, tag);
+            for (case, lanes) in [("own", &own_lanes), ("other", &other_lanes), ("none", &None)] {
+                prop_assert_eq!(
+                    s.lookup_lanes(&view, lanes.as_ref().map(|l| l.view(0)), tag),
+                    plain,
+                    "{} with {} lanes (ways={})",
+                    s.name(),
+                    case,
+                    ways
+                );
+            }
         }
     }
 }

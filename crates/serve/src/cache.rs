@@ -13,7 +13,6 @@
 //! fast path when the bank maintains lanes matching the strategy's spec.
 
 use seta_cache::{AddressMapper, CacheConfig, CacheStats, Policy, SetBank};
-use seta_core::packed::LaneSpec;
 use seta_core::{ProbeStats, SetView, StrategyKind};
 use seta_obs::{ContentionObserver, NoContention};
 use std::sync::Mutex;
@@ -77,9 +76,6 @@ pub struct ConcurrentCache {
     config: CacheConfig,
     mapper: AddressMapper,
     strategy: StrategyKind,
-    /// `Some` when every stripe maintains packed lanes under this spec and
-    /// the strategy is a partial compare — gates the `lookup_packed` path.
-    lane_spec: Option<LaneSpec>,
     sets_per_stripe: u64,
     stripes: Vec<Mutex<Stripe>>,
 }
@@ -96,10 +92,7 @@ impl ConcurrentCache {
         let assoc = config.associativity() as usize;
         let stripes = Self::effective_stripes(&config, stripes) as u64;
         let sets_per_stripe = num_sets / stripes;
-        let lane_spec = match strategy {
-            StrategyKind::Partial(p) => p.lane_spec(assoc),
-            _ => None,
-        };
+        let lane_spec = strategy.lane_spec(assoc);
         let stripe_vec = (0..stripes)
             .map(|_| {
                 let mut bank = SetBank::new(sets_per_stripe as usize, assoc, Policy::Lru, 0);
@@ -118,7 +111,6 @@ impl ConcurrentCache {
             config,
             mapper: AddressMapper::new(config.block_size(), num_sets),
             strategy,
-            lane_spec,
             sets_per_stripe,
             stripes: stripe_vec,
         }
@@ -214,7 +206,7 @@ impl ConcurrentCache {
         let stripe = &mut *guard;
 
         // Snapshot the pre-access set state and price the lookup exactly
-        // like the sweep scorer: monomorphized StrategyKind dispatch, with
+        // like the sweep scorer: `StrategyKind::lookup_lanes`, which takes
         // the packed-lane fast path when the bank maintains matching lanes.
         for ((t, v), f) in stripe
             .tags_buf
@@ -230,12 +222,9 @@ impl ConcurrentCache {
             &stripe.valid_buf,
             stripe.bank.order(local),
         );
-        let lookup = match (&self.strategy, stripe.bank.lane_view(local)) {
-            (StrategyKind::Partial(p), Some(l)) if self.lane_spec == Some(l.spec()) => {
-                p.lookup_packed(&view, &l, tag)
-            }
-            (k, _) => k.lookup(&view, tag),
-        };
+        let lookup = self
+            .strategy
+            .lookup_lanes(&view, stripe.bank.lane_view(local), tag);
 
         let r = stripe.bank.access(local, tag, is_write_back);
         debug_assert_eq!(
@@ -488,11 +477,10 @@ mod tests {
         use seta_core::lookup::{PartialCompare, TransformKind};
         let strategy = StrategyKind::Partial(PartialCompare::new(16, 2, TransformKind::XorFold));
         let packed = ConcurrentCache::new(CacheConfig::new(512, 16, 2).unwrap(), strategy, 4);
-        assert!(packed.lane_spec.is_some(), "lanes maintained for partial");
-        // Same probe pricing as an unpacked reference? The packed path is
-        // an internal fast path; contents and probes must match a cache
-        // whose bank happens not to maintain lanes (simulated by Mru for
-        // contents and by construction for probes being strategy-defined).
+        assert!(
+            packed.stripes[0].lock().unwrap().bank.lane_spec().is_some(),
+            "lanes maintained for partial"
+        );
         for a in (0..128u64).map(|i| (i * 4091) % 0x4000) {
             packed.get(a);
         }

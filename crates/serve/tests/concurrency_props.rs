@@ -5,7 +5,7 @@
 //!
 //! 1. **Sequential identity** — a 1-thread replay of the bundled Dinero
 //!    trace produces shared-cache statistics bit-identical to sequential
-//!    [`simulate`], probes included.
+//!    [`simulate`], probes included, under every lookup strategy.
 //! 2. **Disjoint-key occupancy** — when chunks touch disjoint sets, an
 //!    N-thread replay leaves exactly the per-set occupancy (and resident
 //!    blocks) of a sequential replay.
@@ -14,8 +14,10 @@
 
 use proptest::prelude::*;
 use seta_cache::CacheConfig;
-use seta_core::lookup::Mru;
-use seta_core::StrategyKind;
+use seta_core::lookup::{
+    Banked, Mru, Naive, PartialCompare, ScanOrder, Traditional, TransformKind,
+};
+use seta_core::{model, StrategyKind};
 use seta_serve::loadgen::replay_with_cache;
 use seta_serve::{replay, LoadSpec};
 use seta_sim::runner::simulate;
@@ -37,27 +39,63 @@ fn guard_geometry() -> (CacheConfig, CacheConfig) {
     )
 }
 
+/// Every variant, with the partial compare at §2.2's 4-bit-compare
+/// subset count, so the served cache's packed-lane pricing is compared
+/// against the sweep scorer's.
+fn every_strategy(assoc: u32) -> Vec<StrategyKind> {
+    let subsets = if assoc == 1 {
+        1
+    } else {
+        model::subsets_for_four_bit_compares(16, assoc)
+    };
+    vec![
+        StrategyKind::Traditional(Traditional),
+        StrategyKind::Naive(Naive),
+        StrategyKind::Mru(Mru::full()),
+        StrategyKind::Mru(Mru::truncated(2)),
+        StrategyKind::Partial(PartialCompare::new(16, subsets, TransformKind::XorFold)),
+        StrategyKind::Banked(Banked::new(2, ScanOrder::Frame)),
+        StrategyKind::Banked(Banked::new(2, ScanOrder::Mru)),
+    ]
+}
+
 #[test]
 fn one_thread_replay_is_bit_identical_to_sequential_simulate() {
-    let (l1, l2) = guard_geometry();
     let events = tiny_events();
-    let strategies: Vec<Box<dyn seta_core::lookup::LookupStrategy>> = vec![Box::new(Mru::full())];
-    let sequential = simulate(l1, l2, events.iter().cloned(), &strategies);
+    for assoc in [1, 4, 16] {
+        let l1 = CacheConfig::direct_mapped(4 * 1024, 16).unwrap();
+        let l2 = CacheConfig::new(64 * 1024, 32, assoc).unwrap();
+        let strategies = every_strategy(assoc);
+        let sequential = simulate(l1, l2, events.iter().cloned(), &strategies);
+        for (strategy, scored) in strategies.iter().zip(&sequential.strategies) {
+            let case = format!("{} at a={assoc}", strategy.name());
+            let served = replay(&events, 1, &LoadSpec::new(l1, l2, *strategy));
 
-    let spec = LoadSpec::new(l1, l2, StrategyKind::Mru(Mru::full()));
-    let served = replay(&events, 1, &spec);
-
-    assert!(served.conserves(), "{served:?}");
-    assert_eq!(served.l2_stats, sequential.l2_stats, "shared-cache stats");
-    assert_eq!(served.l1_stats, sequential.l1_stats, "private L1 stats");
-    assert_eq!(served.refs, sequential.hierarchy.processor_refs);
-    assert_eq!(served.read_ins, sequential.hierarchy.read_ins);
-    assert_eq!(served.read_in_hits, sequential.hierarchy.read_in_hits);
-    assert_eq!(served.write_backs, sequential.hierarchy.write_backs);
-    assert_eq!(
-        served.l2_probes, sequential.strategies[0].probes,
-        "probe pricing matches the sweep scorer"
-    );
+            assert!(served.conserves(), "{case}: {served:?}");
+            assert_eq!(
+                served.l2_stats, sequential.l2_stats,
+                "{case}: shared-cache stats"
+            );
+            assert_eq!(
+                served.l1_stats, sequential.l1_stats,
+                "{case}: private L1 stats"
+            );
+            assert_eq!(served.refs, sequential.hierarchy.processor_refs, "{case}");
+            assert_eq!(served.read_ins, sequential.hierarchy.read_ins, "{case}");
+            assert_eq!(
+                served.read_in_hits, sequential.hierarchy.read_in_hits,
+                "{case}"
+            );
+            assert_eq!(
+                served.write_backs, sequential.hierarchy.write_backs,
+                "{case}"
+            );
+            assert_eq!(
+                served.l2_probes, scored.probes,
+                "{case}: probe pricing matches the sweep scorer"
+            );
+        }
+    }
 }
 
 #[test]

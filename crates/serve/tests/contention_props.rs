@@ -118,7 +118,7 @@ fn four_thread_disjoint_chunks_are_bit_identical_to_uninstrumented() {
 fn one_thread_contended_replay_matches_sequential_simulate() {
     let (l1, l2) = guard_geometry();
     let events = tiny_events();
-    let strategies: Vec<Box<dyn seta_core::lookup::LookupStrategy>> = vec![Box::new(Mru::full())];
+    let strategies = [StrategyKind::Mru(Mru::full())];
     let sequential = simulate(l1, l2, events.iter().cloned(), &strategies);
 
     let (served, report) = replay_contended(&events, 1, &guard_spec());

@@ -7,7 +7,7 @@ use crate::experiments::ExperimentParams;
 use crate::report::{f2, TextTable};
 use crate::runner::simulate;
 use serde::{Deserialize, Serialize};
-use seta_core::lookup::{Banked, LookupStrategy, ScanOrder};
+use seta_core::lookup::{Banked, ScanOrder, StrategyKind};
 use seta_core::model;
 use seta_trace::gen::AtumLike;
 
@@ -54,10 +54,10 @@ pub fn run_with_assocs(params: &ExperimentParams, assocs: &[u32]) -> BankedStudy
         let banks: Vec<u32> = std::iter::successors(Some(1u32), |b| Some(b * 2))
             .take_while(|&b| b <= a)
             .collect();
-        let mut strategies: Vec<Box<dyn LookupStrategy>> = Vec::new();
+        let mut strategies = Vec::new();
         for &b in &banks {
-            strategies.push(Box::new(Banked::new(b, ScanOrder::Frame)));
-            strategies.push(Box::new(Banked::new(b, ScanOrder::Mru)));
+            strategies.push(StrategyKind::Banked(Banked::new(b, ScanOrder::Frame)));
+            strategies.push(StrategyKind::Banked(Banked::new(b, ScanOrder::Mru)));
         }
         let out = simulate(
             preset.l1().expect("preset geometry is valid"),

@@ -5,7 +5,7 @@ use crate::experiments::ExperimentParams;
 use crate::report::{f2, TextTable};
 use crate::runner::simulate;
 use serde::{Deserialize, Serialize};
-use seta_core::lookup::{LookupStrategy, Mru};
+use seta_core::lookup::{Mru, StrategyKind};
 use seta_trace::gen::AtumLike;
 
 /// Results for one associativity.
@@ -43,14 +43,14 @@ pub fn run_with_assocs(params: &ExperimentParams, assocs: &[u32]) -> Fig5 {
                 .take_while(|&l| (l as u32) < a)
                 .collect();
             lengths.push(a as usize);
-            let strategies: Vec<Box<dyn LookupStrategy>> = lengths
+            let strategies: Vec<StrategyKind> = lengths
                 .iter()
                 .map(|&l| {
-                    Box::new(if l == a as usize {
+                    StrategyKind::Mru(if l == a as usize {
                         Mru::full()
                     } else {
                         Mru::truncated(l)
-                    }) as Box<dyn LookupStrategy>
+                    })
                 })
                 .collect();
             let out = simulate(

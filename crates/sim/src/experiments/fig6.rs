@@ -6,7 +6,7 @@ use crate::experiments::ExperimentParams;
 use crate::report::{f2, TextTable};
 use crate::runner::simulate;
 use serde::{Deserialize, Serialize};
-use seta_core::lookup::{LookupStrategy, Mru, PartialCompare, TransformKind};
+use seta_core::lookup::{Mru, PartialCompare, StrategyKind, TransformKind};
 use seta_core::model;
 use seta_trace::gen::AtumLike;
 
@@ -56,12 +56,12 @@ pub fn run_with(params: &ExperimentParams, tag_widths: &[u32], assocs: &[u32]) -
         for &a in assocs {
             let s = model::subsets_for_four_bit_compares(t, a);
             let k = model::partial_k(t, a, s);
-            let strategies: Vec<Box<dyn LookupStrategy>> = vec![
-                Box::new(PartialCompare::new(t, s, TransformKind::None)),
-                Box::new(PartialCompare::new(t, s, TransformKind::XorFold)),
-                Box::new(PartialCompare::new(t, s, TransformKind::Improved)),
-                Box::new(PartialCompare::new(t, s, TransformKind::Swap)),
-                Box::new(Mru::full()),
+            let strategies = [
+                StrategyKind::Partial(PartialCompare::new(t, s, TransformKind::None)),
+                StrategyKind::Partial(PartialCompare::new(t, s, TransformKind::XorFold)),
+                StrategyKind::Partial(PartialCompare::new(t, s, TransformKind::Improved)),
+                StrategyKind::Partial(PartialCompare::new(t, s, TransformKind::Swap)),
+                StrategyKind::Mru(Mru::full()),
             ];
             let out = simulate(
                 preset.l1().expect("preset geometry is valid"),

@@ -26,7 +26,7 @@ use seta_cache::{
     Cache, CacheConfig, HashRehashCache, L2Observer, L2RequestKind, L2RequestView, SwapTwoWay,
     TwoLevel,
 };
-use seta_core::lookup::{LookupStrategy, Mru, Naive, Traditional};
+use seta_core::lookup::{Mru, Naive, StrategyKind, Traditional};
 use seta_core::ProbeStats;
 use seta_trace::gen::AtumLike;
 
@@ -109,10 +109,10 @@ pub fn run(params: &ExperimentParams) -> HashRehashStudy {
         CacheConfig::direct_mapped(preset.l2_size, preset.l2_block).expect("valid direct L2");
 
     // Pass 1: price the 2-way organization under three lookups.
-    let strategies: Vec<Box<dyn LookupStrategy>> = vec![
-        Box::new(Traditional),
-        Box::new(Naive),
-        Box::new(Mru::full()),
+    let strategies = [
+        StrategyKind::Traditional(Traditional),
+        StrategyKind::Naive(Naive),
+        StrategyKind::Mru(Mru::full()),
     ];
     let two_way = simulate(
         l1,

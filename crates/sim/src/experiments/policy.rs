@@ -18,7 +18,7 @@ use crate::report::{f2, f4, TextTable};
 use crate::runner::simulate_with_l2_policy;
 use serde::{Deserialize, Serialize};
 use seta_cache::Policy;
-use seta_core::lookup::{LookupStrategy, Mru, Naive, PartialCompare, TransformKind};
+use seta_core::lookup::{Mru, Naive, PartialCompare, StrategyKind, TransformKind};
 use seta_core::model;
 use seta_trace::gen::AtumLike;
 
@@ -58,10 +58,10 @@ pub fn run_with_assoc(params: &ExperimentParams, assoc: u32) -> PolicyStudy {
     let rows = Policy::ALL
         .iter()
         .map(|&policy| {
-            let strategies: Vec<Box<dyn LookupStrategy>> = vec![
-                Box::new(Naive),
-                Box::new(Mru::full()),
-                Box::new(PartialCompare::new(
+            let strategies = [
+                StrategyKind::Naive(Naive),
+                StrategyKind::Mru(Mru::full()),
+                StrategyKind::Partial(PartialCompare::new(
                     params.tag_bits,
                     subsets,
                     TransformKind::XorFold,

@@ -3,7 +3,7 @@
 //! [`explain`] produces the exact same [`RunOutcome`] as
 //! [`simulate`](crate::runner::simulate) — it wraps the same
 //! [`Scorer`](crate::runner) over the same hierarchy — while routing every
-//! lookup through [`LookupStrategy::lookup_observed`] with a recorder
+//! lookup through [`StrategyKind::lookup_observed`] with a recorder
 //! that attributes the probe count to its micro-events: serial tag
 //! probes, wide group probes, MRU-list reads, partial-compare step-one
 //! probes, and full-compare candidates (true or false matches). The
@@ -30,7 +30,7 @@
 use crate::runner::{assemble_outcome, RunOutcome, Scorer};
 use serde::{Deserialize, Serialize};
 use seta_cache::{CacheConfig, L2Observer, L2RequestKind, L2RequestView, TwoLevel};
-use seta_core::lookup::{LookupStrategy, StrategyKind};
+use seta_core::lookup::StrategyKind;
 use seta_core::{model, ProbeObserver};
 use seta_obs::{
     EventRing, PositionHistogram, ProbeEvent, SetHeatmap, SpanBuffer, SpanClock, SpanTrace,
@@ -485,11 +485,6 @@ impl ProbeObserver for ProbeRecorder {
 /// The instrumented observer: the plain [`Scorer`] plus event recording.
 struct Explainer<'a> {
     scorer: Scorer<'a>,
-    /// Monomorphized dispatch for the observed (scalar-reference) path:
-    /// built-ins resolve once so the per-access loop skips the vtable,
-    /// while routing through exactly the same retained scalar search — the
-    /// event stream is unchanged.
-    kinds: Vec<Option<StrategyKind>>,
     recorders: Vec<ProbeRecorder>,
     /// Per-strategy (read-in, write-back) event totals.
     totals: Vec<(ProbeBreakdown, ProbeBreakdown)>,
@@ -500,10 +495,9 @@ struct Explainer<'a> {
 }
 
 impl<'a> Explainer<'a> {
-    fn new(strategies: &'a [Box<dyn LookupStrategy>], assoc: u32, cfg: &ExplainConfig) -> Self {
+    fn new(strategies: &'a [StrategyKind], assoc: u32, cfg: &ExplainConfig) -> Self {
         Explainer {
             scorer: Scorer::new(strategies, assoc),
-            kinds: strategies.iter().map(|s| s.kind()).collect(),
             recorders: strategies
                 .iter()
                 .map(|_| ProbeRecorder::default())
@@ -523,7 +517,6 @@ impl L2Observer for Explainer<'_> {
         // and ring disjointly from the scorer.
         let Explainer {
             scorer,
-            kinds,
             recorders,
             totals,
             ring,
@@ -542,10 +535,7 @@ impl L2Observer for Explainer<'_> {
         scorer.score_with(req, |i, strategy, view, tag| {
             let rec = &mut recorders[i];
             rec.current = LookupEvents::default();
-            let lookup = match kinds[i] {
-                Some(k) => k.lookup_observed(view, tag, rec),
-                None => strategy.lookup_observed(view, tag, rec),
-            };
+            let lookup = strategy.lookup_observed(view, tag, rec);
             debug_assert_eq!(
                 rec.current.probes(),
                 lookup.probes,
@@ -748,7 +738,7 @@ pub fn explain<I>(
     l1: CacheConfig,
     l2: CacheConfig,
     events: I,
-    strategies: &[Box<dyn LookupStrategy>],
+    strategies: &[StrategyKind],
     cfg: &ExplainConfig,
 ) -> (RunOutcome, ExplainReport)
 where
@@ -767,7 +757,7 @@ pub fn explain_traced<I>(
     l1: CacheConfig,
     l2: CacheConfig,
     events: I,
-    strategies: &[Box<dyn LookupStrategy>],
+    strategies: &[StrategyKind],
     cfg: &ExplainConfig,
 ) -> (RunOutcome, ExplainReport, SpanTrace)
 where
@@ -791,7 +781,7 @@ fn explain_impl<I>(
     l1: CacheConfig,
     l2: CacheConfig,
     events: I,
-    strategies: &[Box<dyn LookupStrategy>],
+    strategies: &[StrategyKind],
     cfg: &ExplainConfig,
     mut spans: Option<&mut SpanBuffer>,
 ) -> (RunOutcome, ExplainReport)

@@ -17,7 +17,7 @@ use crate::runner::{assemble_outcome, RunOutcome, Scorer};
 use seta_cache::{
     CacheConfig, L2Observer, L2RequestKind, L2RequestView, MetricsSink, TwoLevel, TwoLevelStats,
 };
-use seta_core::lookup::LookupStrategy;
+use seta_core::lookup::StrategyKind;
 use seta_obs::export::{final_snapshot_line, snapshot_line};
 use seta_obs::timeseries::{WindowRecord, WindowSeries, DEFAULT_WINDOW_REFS};
 use seta_obs::{
@@ -137,7 +137,7 @@ struct Meter<'a> {
 }
 
 impl<'a> Meter<'a> {
-    fn new(strategies: &'a [Box<dyn LookupStrategy>], assoc: u32, window_refs: u64) -> Self {
+    fn new(strategies: &'a [StrategyKind], assoc: u32, window_refs: u64) -> Self {
         let mut registry = MetricsRegistry::new();
         let global = GlobalHandles {
             refs: registry.counter("refs_total"),
@@ -345,7 +345,7 @@ pub fn simulate_instrumented<I, W>(
     l1: CacheConfig,
     l2: CacheConfig,
     events: I,
-    strategies: &[Box<dyn LookupStrategy>],
+    strategies: &[StrategyKind],
     source: &str,
     seed: u64,
     cfg: &MeterConfig,

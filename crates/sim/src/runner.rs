@@ -6,7 +6,7 @@ use seta_cache::{
     CacheConfig, CacheStats, L2Observer, L2RequestKind, L2RequestView, TwoLevel, TwoLevelStats,
 };
 use seta_core::lookup::{
-    Lookup, LookupStrategy, Mru, Naive, PartialCompare, StrategyKind, Traditional, TransformKind,
+    Lookup, Mru, Naive, PartialCompare, StrategyKind, Traditional, TransformKind,
 };
 use seta_core::packed::LaneSpec;
 use seta_core::{model, MruDistanceHistogram, ProbeStats, SetView};
@@ -19,7 +19,7 @@ use std::time::Instant;
 /// Probe results for one strategy over one run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StrategyResult {
-    /// The strategy's [`name`](LookupStrategy::name).
+    /// The strategy's [`name`](StrategyKind::name).
     pub name: String,
     /// Probe statistics with the write-back optimization: write-backs cost
     /// zero probes (the paper's default for all figures and Table 4).
@@ -62,16 +62,7 @@ impl RunOutcome {
 
 /// Scores every strategy against each L2 request's pre-access set state.
 pub(crate) struct Scorer<'a> {
-    strategies: &'a [Box<dyn LookupStrategy>],
-    /// Monomorphized dispatch table: built-in strategies resolve to a
-    /// [`StrategyKind`] once at construction, so the per-access loop calls
-    /// the inlined fast paths instead of going through the vtable. `None`
-    /// entries (user-defined strategies) keep the dynamic call.
-    kinds: Vec<Option<StrategyKind>>,
-    /// Per-strategy packed-lane geometry, `Some` only for partial-compare
-    /// strategies whose spec is realizable at this associativity. Compared
-    /// against the request's lane view to gate the precomputed-word path.
-    lane_specs: Vec<Option<LaneSpec>>,
+    strategies: &'a [StrategyKind],
     pub(crate) results: Vec<(ProbeStats, ProbeStats)>,
     pub(crate) mru_hist: MruDistanceHistogram,
     /// Scratch buffers for snapshotting the target set, reused across
@@ -85,17 +76,9 @@ pub(crate) struct Scorer<'a> {
 }
 
 impl<'a> Scorer<'a> {
-    pub(crate) fn new(strategies: &'a [Box<dyn LookupStrategy>], assoc: u32) -> Self {
+    pub(crate) fn new(strategies: &'a [StrategyKind], assoc: u32) -> Self {
         Scorer {
             strategies,
-            kinds: strategies.iter().map(|s| s.kind()).collect(),
-            lane_specs: strategies
-                .iter()
-                .map(|s| match s.kind() {
-                    Some(StrategyKind::Partial(p)) => p.lane_spec(assoc as usize),
-                    _ => None,
-                })
-                .collect(),
             results: vec![(ProbeStats::new(), ProbeStats::new()); strategies.len()],
             mru_hist: MruDistanceHistogram::new(assoc as usize),
             tags_buf: vec![0; assoc as usize],
@@ -107,13 +90,13 @@ impl<'a> Scorer<'a> {
 
     /// Scores one request with `lookup` performing each strategy's search.
     ///
-    /// The plain path passes `LookupStrategy::lookup`; the explain pass
-    /// (see [`crate::explain`]) substitutes `lookup_observed` with its
+    /// The plain path passes [`StrategyKind::lookup_lanes`]; the explain
+    /// pass (see [`crate::explain`]) substitutes `lookup_observed` with its
     /// event recorders, so instrumentation prices exactly the lookups the
     /// statistics record — never a second execution.
     pub(crate) fn score_with<F>(&mut self, req: &L2RequestView<'_>, mut lookup: F)
     where
-        F: FnMut(usize, &dyn LookupStrategy, &SetView, u64) -> Lookup,
+        F: FnMut(usize, &StrategyKind, &SetView, u64) -> Lookup,
     {
         for ((t, v), f) in self
             .tags_buf
@@ -143,7 +126,7 @@ impl<'a> Scorer<'a> {
         for (i, (strategy, (opt, no_opt))) in
             self.strategies.iter().zip(&mut self.results).enumerate()
         {
-            let lookup = lookup(i, strategy.as_ref(), &view, req.tag);
+            let lookup = lookup(i, strategy, &view, req.tag);
             debug_assert_eq!(
                 lookup.hit_way,
                 req.hit_way,
@@ -174,23 +157,10 @@ impl<'a> Scorer<'a> {
 
 impl L2Observer for Scorer<'_> {
     fn on_l2_request(&mut self, req: &L2RequestView<'_>) {
-        // Take the dispatch tables out of `self` so the closure can read
-        // them while `score_with` holds the mutable borrow.
-        let kinds = std::mem::take(&mut self.kinds);
-        let lane_specs = std::mem::take(&mut self.lane_specs);
         let lanes = req.lanes;
-        self.score_with(req, |i, strategy, view, tag| match kinds[i] {
-            Some(StrategyKind::Partial(p)) => match lanes {
-                // The cache maintains packed lane words for this exact
-                // geometry: skip step-one packing entirely.
-                Some(l) if lane_specs[i] == Some(l.spec()) => p.lookup_packed(view, &l, tag),
-                _ => p.lookup(view, tag),
-            },
-            Some(k) => k.lookup(view, tag),
-            None => strategy.lookup(view, tag),
+        self.score_with(req, |_, strategy, view, tag| {
+            strategy.lookup_lanes(view, lanes, tag)
         });
-        self.kinds = kinds;
-        self.lane_specs = lane_specs;
     }
 }
 
@@ -199,14 +169,8 @@ impl L2Observer for Scorer<'_> {
 /// realizable at associativity `assoc`. Feeding this to
 /// [`TwoLevel::enable_partial_lanes`] lets the scorer's partial fast path
 /// read precomputed lane words instead of packing the set on every access.
-pub(crate) fn partial_lane_spec(
-    strategies: &[Box<dyn LookupStrategy>],
-    assoc: u32,
-) -> Option<LaneSpec> {
-    strategies.iter().find_map(|s| match s.kind() {
-        Some(StrategyKind::Partial(p)) => p.lane_spec(assoc as usize),
-        _ => None,
-    })
+pub(crate) fn partial_lane_spec(strategies: &[StrategyKind], assoc: u32) -> Option<LaneSpec> {
+    strategies.iter().find_map(|s| s.lane_spec(assoc as usize))
 }
 
 /// Runs one simulation: drives `events` through a fresh two-level
@@ -219,7 +183,7 @@ pub fn simulate<I>(
     l1: CacheConfig,
     l2: CacheConfig,
     events: I,
-    strategies: &[Box<dyn LookupStrategy>],
+    strategies: &[StrategyKind],
 ) -> RunOutcome
 where
     I: IntoIterator<Item = TraceEvent>,
@@ -238,7 +202,7 @@ pub fn simulate_with_l2_policy<I>(
     l2_policy: seta_cache::Policy,
     policy_seed: u64,
     events: I,
-    strategies: &[Box<dyn LookupStrategy>],
+    strategies: &[StrategyKind],
 ) -> RunOutcome
 where
     I: IntoIterator<Item = TraceEvent>,
@@ -303,7 +267,7 @@ pub fn simulate_traced<I>(
     l1: CacheConfig,
     l2: CacheConfig,
     events: I,
-    strategies: &[Box<dyn LookupStrategy>],
+    strategies: &[StrategyKind],
 ) -> (RunOutcome, SpanTrace)
 where
     I: IntoIterator<Item = TraceEvent>,
@@ -340,7 +304,7 @@ where
 pub(crate) fn assemble_outcome(
     hierarchy: &TwoLevel,
     scorer: Scorer<'_>,
-    strategies: &[Box<dyn LookupStrategy>],
+    strategies: &[StrategyKind],
 ) -> RunOutcome {
     let (l1_stats, l2_stats) = hierarchy.level_stats();
     let mru_update_fraction = if scorer.requests == 0 {
@@ -1102,7 +1066,7 @@ impl DeepOutcome {
 pub fn simulate_last_level<I>(
     configs: Vec<CacheConfig>,
     events: I,
-    strategies: &[Box<dyn LookupStrategy>],
+    strategies: &[StrategyKind],
 ) -> DeepOutcome
 where
     I: IntoIterator<Item = TraceEvent>,
@@ -1147,11 +1111,11 @@ where
 /// and the simple self-inverse XOR transform ("this method is used
 /// throughout this paper" — §2.2; the improved transform appears only in
 /// the Figure 6 study).
-pub fn standard_strategies(assoc: u32, tag_bits: u32) -> Vec<Box<dyn LookupStrategy>> {
-    let mut v: Vec<Box<dyn LookupStrategy>> = vec![
-        Box::new(Traditional),
-        Box::new(Naive),
-        Box::new(Mru::full()),
+pub fn standard_strategies(assoc: u32, tag_bits: u32) -> Vec<StrategyKind> {
+    let mut v = vec![
+        StrategyKind::Traditional(Traditional),
+        StrategyKind::Naive(Naive),
+        StrategyKind::Mru(Mru::full()),
     ];
     if assoc >= 1 {
         let subsets = if assoc == 1 {
@@ -1159,7 +1123,7 @@ pub fn standard_strategies(assoc: u32, tag_bits: u32) -> Vec<Box<dyn LookupStrat
         } else {
             model::subsets_for_four_bit_compares(tag_bits, assoc)
         };
-        v.push(Box::new(PartialCompare::new(
+        v.push(StrategyKind::Partial(PartialCompare::new(
             tag_bits,
             subsets,
             TransformKind::XorFold,

@@ -15,7 +15,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use seta::core::lookup::{LookupStrategy, PartialCompare, TransformKind};
+use seta::core::lookup::{PartialCompare, TransformKind};
 use seta::core::transform::{Gf2Matrix, Identity, Improved, TagTransform, XorFold};
 use seta::core::{model, SetView};
 

@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use seta::cache::CacheConfig;
-use seta::core::lookup::{LookupStrategy, Mru, Naive, PartialCompare, Traditional, TransformKind};
+use seta::core::lookup::{Mru, Naive, PartialCompare, StrategyKind, Traditional, TransformKind};
 use seta::core::model;
 use seta::sim::runner::simulate;
 use seta::trace::{TraceEvent, TraceRecord};
@@ -29,12 +29,12 @@ fn random_trace(n: usize, pool_blocks: usize, seed: u64) -> Vec<TraceEvent> {
         .collect()
 }
 
-fn strategies(t: u32, s: u32) -> Vec<Box<dyn LookupStrategy>> {
+fn strategies(t: u32, s: u32) -> Vec<StrategyKind> {
     vec![
-        Box::new(Traditional),
-        Box::new(Naive),
-        Box::new(Mru::full()),
-        Box::new(PartialCompare::new(t, s, TransformKind::None)),
+        StrategyKind::Traditional(Traditional),
+        StrategyKind::Naive(Naive),
+        StrategyKind::Mru(Mru::full()),
+        StrategyKind::Partial(PartialCompare::new(t, s, TransformKind::None)),
     ]
 }
 

@@ -2,7 +2,7 @@
 //! behaviour; only the probes differ.
 
 use seta::cache::CacheConfig;
-use seta::core::lookup::{LookupStrategy, Mru, Naive, PartialCompare, Traditional, TransformKind};
+use seta::core::lookup::{Mru, Naive, PartialCompare, StrategyKind, Traditional, TransformKind};
 use seta::sim::runner::{simulate, standard_strategies};
 use seta::trace::gen::{AtumLike, AtumLikeConfig};
 
@@ -13,13 +13,13 @@ fn workload() -> AtumLike {
     AtumLike::new(cfg, 2026)
 }
 
-fn wide_strategy_set(assoc: u32) -> Vec<Box<dyn LookupStrategy>> {
-    let mut v: Vec<Box<dyn LookupStrategy>> = vec![
-        Box::new(Traditional),
-        Box::new(Naive),
-        Box::new(Mru::full()),
-        Box::new(Mru::truncated(1)),
-        Box::new(Mru::truncated(2)),
+fn wide_strategy_set(assoc: u32) -> Vec<StrategyKind> {
+    let mut v = vec![
+        StrategyKind::Traditional(Traditional),
+        StrategyKind::Naive(Naive),
+        StrategyKind::Mru(Mru::full()),
+        StrategyKind::Mru(Mru::truncated(1)),
+        StrategyKind::Mru(Mru::truncated(2)),
     ];
     for kind in [
         TransformKind::None,
@@ -27,9 +27,9 @@ fn wide_strategy_set(assoc: u32) -> Vec<Box<dyn LookupStrategy>> {
         TransformKind::Improved,
         TransformKind::Swap,
     ] {
-        v.push(Box::new(PartialCompare::new(16, 1, kind)));
+        v.push(StrategyKind::Partial(PartialCompare::new(16, 1, kind)));
         if assoc >= 2 {
-            v.push(Box::new(PartialCompare::new(32, 2, kind)));
+            v.push(StrategyKind::Partial(PartialCompare::new(32, 2, kind)));
         }
     }
     v
@@ -128,9 +128,9 @@ fn wider_tags_reduce_partial_probes() {
     // partial scheme (wider k, fewer false matches).
     let l1 = CacheConfig::direct_mapped(4 * 1024, 16).expect("valid L1");
     let l2 = CacheConfig::new(32 * 1024, 32, 8).expect("valid L2");
-    let strategies: Vec<Box<dyn LookupStrategy>> = vec![
-        Box::new(PartialCompare::new(16, 2, TransformKind::Improved)),
-        Box::new(PartialCompare::new(32, 2, TransformKind::Improved)),
+    let strategies = [
+        StrategyKind::Partial(PartialCompare::new(16, 2, TransformKind::Improved)),
+        StrategyKind::Partial(PartialCompare::new(32, 2, TransformKind::Improved)),
     ];
     let out = simulate(l1, l2, workload(), &strategies);
     let narrow = out.strategies[0].probes.total_mean();
