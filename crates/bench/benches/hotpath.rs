@@ -21,14 +21,15 @@ use std::hint::black_box;
 /// branchless fast paths `StrategyKind::lookup` dispatches to.
 fn bench_lookup_per_access(c: &mut Criterion) {
     let inputs = bench_inputs();
+    let views: Vec<_> = inputs.views.iter().collect();
     let mut g = c.benchmark_group("hotpath/lookup");
-    g.throughput(Throughput::Elements(inputs.views.len() as u64));
+    g.throughput(Throughput::Elements(views.len() as u64));
     for (name, strategy) in &inputs.strategies {
         let short = name.rsplit('/').next().expect("guard names are prefixed");
         g.bench_with_input(BenchmarkId::from_parameter(short), strategy, |b, s| {
             b.iter(|| {
                 let mut probes = 0u64;
-                for (view, tag) in &inputs.views {
+                for (view, tag) in &views {
                     probes += s.lookup(view, *tag).probes as u64;
                 }
                 black_box(probes)
@@ -48,15 +49,16 @@ fn bench_lookup_observed_noop(c: &mut Criterion) {
     impl ProbeObserver for Noop {}
 
     let inputs = bench_inputs();
+    let views: Vec<_> = inputs.views.iter().collect();
     let mut g = c.benchmark_group("hotpath/lookup_observed");
-    g.throughput(Throughput::Elements(inputs.views.len() as u64));
+    g.throughput(Throughput::Elements(views.len() as u64));
     for (name, strategy) in &inputs.strategies {
         let short = name.rsplit('/').next().expect("guard names are prefixed");
         g.bench_with_input(BenchmarkId::from_parameter(short), strategy, |b, s| {
             b.iter(|| {
                 let obs: &mut dyn ProbeObserver = &mut Noop;
                 let mut probes = 0u64;
-                for (view, tag) in &inputs.views {
+                for (view, tag) in &views {
                     probes += s.lookup_observed(view, *tag, obs).probes as u64;
                 }
                 black_box(probes)

@@ -11,8 +11,23 @@ use seta_core::SetView;
 use seta_trace::gen::{AtumLike, AtumLikeConfig, Multiprogram, MultiprogramConfig};
 use std::hint::black_box;
 
-/// A batch of random 8-way set views and probe tags.
-fn random_views(n: usize, seed: u64) -> Vec<(SetView, u64)> {
+/// One random 8-way set and its probe tag: the storage a [`SetView`]
+/// borrows.
+struct RandomSet {
+    tags: Vec<u64>,
+    valid: Vec<bool>,
+    order: Vec<u8>,
+    probe: u64,
+}
+
+impl RandomSet {
+    fn view(&self) -> SetView<'_> {
+        SetView::from_parts(&self.tags, &self.valid, &self.order)
+    }
+}
+
+/// A batch of random 8-way sets and probe tags.
+fn random_sets(n: usize, seed: u64) -> Vec<RandomSet> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n)
         .map(|_| {
@@ -27,13 +42,19 @@ fn random_views(n: usize, seed: u64) -> Vec<(SetView, u64)> {
             } else {
                 rng.gen::<u64>() >> 16
             };
-            (SetView::from_parts(&tags, &valid, &order), probe)
+            RandomSet {
+                tags,
+                valid,
+                order,
+                probe,
+            }
         })
         .collect()
 }
 
 fn bench_lookup_strategies(c: &mut Criterion) {
-    let views = random_views(1024, 7);
+    let sets = random_sets(1024, 7);
+    let views: Vec<(SetView<'_>, u64)> = sets.iter().map(|s| (s.view(), s.probe)).collect();
     let strategies = [
         ("traditional", StrategyKind::Traditional(Traditional)),
         ("naive", StrategyKind::Naive(Naive)),

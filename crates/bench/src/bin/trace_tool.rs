@@ -166,7 +166,13 @@ fn write_events(path: &Path, events: &[TraceEvent]) -> Result<(), String> {
     io.map_err(|e| format!("write {}: {e}", path.display()))
 }
 
-fn parse_u64(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<u64, String> {
+/// Parses the value of `flag` as the integer type it is stored in, so an
+/// out-of-range value is an error rather than a silent truncation.
+fn parse_num<T>(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<T, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
     let v = args.next().ok_or(format!("{flag} needs a value"))?;
     v.parse().map_err(|e| format!("bad {flag} {v}: {e}"))
 }
@@ -183,9 +189,9 @@ fn generate(mut args: impl Iterator<Item = String>) -> Result<(), String> {
             continue;
         }
         match a.as_str() {
-            "--segments" => cfg.segments = parse_u64(&mut args, "--segments")? as usize,
-            "--refs" => cfg.refs_per_segment = parse_u64(&mut args, "--refs")?,
-            "--seed" => seed = parse_u64(&mut args, "--seed")?,
+            "--segments" => cfg.segments = parse_num(&mut args, "--segments")?,
+            "--refs" => cfg.refs_per_segment = parse_num(&mut args, "--refs")?,
+            "--seed" => seed = parse_num(&mut args, "--seed")?,
             other => return Err(format!("unknown argument {other:?}\n{}", usage())),
         }
     }
@@ -310,9 +316,9 @@ fn mattson(mut args: impl Iterator<Item = String>) -> Result<(), String> {
             continue;
         }
         match a.as_str() {
-            "--block" => block = parse_u64(&mut args, "--block")?,
-            "--sets" => sets = parse_u64(&mut args, "--sets")?,
-            "--max-assoc" => max_assoc = parse_u64(&mut args, "--max-assoc")? as u32,
+            "--block" => block = parse_num(&mut args, "--block")?,
+            "--sets" => sets = parse_num(&mut args, "--sets")?,
+            "--max-assoc" => max_assoc = parse_num(&mut args, "--max-assoc")?,
             other => return Err(format!("unknown argument {other:?}\n{}", usage())),
         }
     }
@@ -402,13 +408,13 @@ fn explain_cmd(mut args: impl Iterator<Item = String>) -> Result<(), String> {
             continue;
         }
         match a.as_str() {
-            "--assoc" => assoc = parse_u64(&mut args, "--assoc")? as u32,
-            "--tag-bits" => tag_bits = parse_u64(&mut args, "--tag-bits")? as u32,
-            "--l1-size" => l1_size = parse_u64(&mut args, "--l1-size")?,
-            "--l1-block" => l1_block = parse_u64(&mut args, "--l1-block")?,
-            "--l2-size" => l2_size = parse_u64(&mut args, "--l2-size")?,
-            "--l2-block" => l2_block = parse_u64(&mut args, "--l2-block")?,
-            "--sample-every" => sample_every = parse_u64(&mut args, "--sample-every")?,
+            "--assoc" => assoc = parse_num(&mut args, "--assoc")?,
+            "--tag-bits" => tag_bits = parse_num(&mut args, "--tag-bits")?,
+            "--l1-size" => l1_size = parse_num(&mut args, "--l1-size")?,
+            "--l1-block" => l1_block = parse_num(&mut args, "--l1-block")?,
+            "--l2-size" => l2_size = parse_num(&mut args, "--l2-size")?,
+            "--l2-block" => l2_block = parse_num(&mut args, "--l2-block")?,
+            "--sample-every" => sample_every = parse_num(&mut args, "--sample-every")?,
             other => return Err(format!("unknown argument {other:?}\n{}", usage())),
         }
     }
@@ -472,14 +478,14 @@ fn sim_cmd(mut args: impl Iterator<Item = String>) -> Result<(), String> {
             continue;
         }
         match a.as_str() {
-            "--assoc" => assoc = parse_u64(&mut args, "--assoc")? as u32,
-            "--tag-bits" => tag_bits = parse_u64(&mut args, "--tag-bits")? as u32,
-            "--l1-size" => l1_size = parse_u64(&mut args, "--l1-size")?,
-            "--l1-block" => l1_block = parse_u64(&mut args, "--l1-block")?,
-            "--l2-size" => l2_size = parse_u64(&mut args, "--l2-size")?,
-            "--l2-block" => l2_block = parse_u64(&mut args, "--l2-block")?,
+            "--assoc" => assoc = parse_num(&mut args, "--assoc")?,
+            "--tag-bits" => tag_bits = parse_num(&mut args, "--tag-bits")?,
+            "--l1-size" => l1_size = parse_num(&mut args, "--l1-size")?,
+            "--l1-block" => l1_block = parse_num(&mut args, "--l1-block")?,
+            "--l2-size" => l2_size = parse_num(&mut args, "--l2-size")?,
+            "--l2-block" => l2_block = parse_num(&mut args, "--l2-block")?,
             "--window" => {
-                window = parse_u64(&mut args, "--window")?;
+                window = parse_num(&mut args, "--window")?;
                 if window == 0 {
                     return Err("--window must be positive".into());
                 }
@@ -497,7 +503,7 @@ fn sim_cmd(mut args: impl Iterator<Item = String>) -> Result<(), String> {
                 serve_addr = Some(args.next().ok_or("--serve needs an address")?);
             }
             "--serve-linger" => {
-                serve_linger = parse_u64(&mut args, "--serve-linger")?;
+                serve_linger = parse_num(&mut args, "--serve-linger")?;
             }
             other => return Err(format!("unknown argument {other:?}\n{}", usage())),
         }

@@ -199,9 +199,31 @@ fn record(name: &str, median: Duration, probes: u64, accesses: u64) -> BenchReco
     }
 }
 
-/// A deterministic batch of 8-way set views and probe tags (xorshift-mixed
+/// A batch of generated sets and probe tags: the storage the lookup
+/// benchmarks borrow their [`SetView`]s from, one row per set, laid out
+/// like a cache bank (a tag row, a valid mask and a recency list per set).
+pub struct ViewBatch {
+    ways: usize,
+    tags: Vec<u64>,
+    valid: Vec<u32>,
+    order: Vec<u8>,
+    probes: Vec<u64>,
+}
+
+impl ViewBatch {
+    /// Every set as a lookup input with its probe tag, in batch order.
+    pub fn iter(&self) -> impl Iterator<Item = (SetView<'_>, u64)> + '_ {
+        self.probes.iter().enumerate().map(move |(i, &probe)| {
+            let row = i * self.ways..(i + 1) * self.ways;
+            let view = SetView::from_mask(&self.tags[row.clone()], self.valid[i], &self.order[row]);
+            (view, probe)
+        })
+    }
+}
+
+/// A deterministic batch of 8-way sets and probe tags (xorshift-mixed
 /// from a fixed seed; no RNG dependency so the stream can never drift).
-fn lookup_batch(n: usize) -> Vec<(SetView, u64)> {
+fn lookup_batch(n: usize) -> ViewBatch {
     lookup_batch_ways(n, 8)
 }
 
@@ -209,7 +231,7 @@ fn lookup_batch(n: usize) -> Vec<(SetView, u64)> {
 /// draw sequence is identical to the original 8-way batch, so the historic
 /// `lookup/*` probe counts are preserved exactly; other widths feed the
 /// per-associativity `lookup_a<ways>/*` groups.
-fn lookup_batch_ways(n: usize, ways: usize) -> Vec<(SetView, u64)> {
+fn lookup_batch_ways(n: usize, ways: usize) -> ViewBatch {
     // Low bits that keep per-way tag uniqueness; 3 at ways ≤ 8 (the
     // original stream), 4 at 16 ways.
     let shift = u64::from((usize::BITS - (ways - 1).leading_zeros()).max(3));
@@ -220,29 +242,39 @@ fn lookup_batch_ways(n: usize, ways: usize) -> Vec<(SetView, u64)> {
         state ^= state << 17;
         state
     };
-    (0..n)
-        .map(|_| {
-            let mut tags = vec![0u64; ways];
-            let mut valid = vec![false; ways];
-            for (w, t) in tags.iter_mut().enumerate() {
-                // Unique per way (cache invariant) and 16-bit-ish.
-                *t = ((next() & 0x1FFF) << shift) | w as u64;
+    let mut batch = ViewBatch {
+        ways,
+        tags: Vec::with_capacity(n * ways),
+        valid: Vec::with_capacity(n),
+        order: Vec::with_capacity(n * ways),
+        probes: Vec::with_capacity(n),
+    };
+    for _ in 0..n {
+        let base = batch.tags.len();
+        for w in 0..ways {
+            // Unique per way (cache invariant) and 16-bit-ish.
+            batch.tags.push(((next() & 0x1FFF) << shift) | w as u64);
+        }
+        let mut valid = 0u32;
+        for w in 0..ways {
+            if next() % 10 != 0 {
+                valid |= 1 << w; // ~90% occupancy
             }
-            for v in valid.iter_mut() {
-                *v = next() % 10 != 0; // ~90% occupancy
-            }
-            let mut order: Vec<u8> = (0..ways as u8).collect();
-            for i in (1..ways).rev() {
-                order.swap(i, (next() % (i as u64 + 1)) as usize);
-            }
-            let probe = if next() % 10 < 7 {
-                tags[(next() % ways as u64) as usize] // resident ~70% of the time
-            } else {
-                ((next() & 0x1FFF) << shift) | (ways as u64 - 1) // usually absent
-            };
-            (SetView::from_parts(&tags, &valid, &order), probe)
-        })
-        .collect()
+        }
+        batch.valid.push(valid);
+        let mut order: Vec<u8> = (0..ways as u8).collect();
+        for i in (1..ways).rev() {
+            order.swap(i, (next() % (i as u64 + 1)) as usize);
+        }
+        batch.order.extend_from_slice(&order);
+        let probe = if next() % 10 < 7 {
+            batch.tags[base + (next() % ways as u64) as usize] // resident ~70% of the time
+        } else {
+            ((next() & 0x1FFF) << shift) | (ways as u64 - 1) // usually absent
+        };
+        batch.probes.push(probe);
+    }
+    batch
 }
 
 /// The five lookup implementations the guard times for one of the
@@ -312,8 +344,8 @@ fn sweep_spec(quick: bool) -> RunSpec {
 /// The workloads the guard measures, exposed for the criterion hot-path
 /// benches so `cargo bench` and `bench_guard` time identical inputs.
 pub struct BenchInputs {
-    /// The fixed batch of set views and probe tags for per-access lookups.
-    pub views: Vec<(SetView, u64)>,
+    /// The fixed batch of sets and probe tags for per-access lookups.
+    pub views: ViewBatch,
     /// The five guarded strategies under their stable `lookup/*` names.
     pub strategies: Vec<(String, StrategyKind)>,
     /// The bundled Dinero trace, parsed.
@@ -355,7 +387,10 @@ pub fn measure(cfg: &GuardConfig) -> GuardReport {
     // how the simulation scorer prices lookups.
     let reps: u64 = if cfg.quick { 20 } else { 200 };
     for (ways, prefix) in [(8usize, "lookup"), (4, "lookup_a4"), (16, "lookup_a16")] {
-        let views = lookup_batch_ways(1024, ways);
+        let batch = lookup_batch_ways(1024, ways);
+        // Views are built once, outside the timed loops, so the groups time
+        // the lookup alone.
+        let views: Vec<(SetView<'_>, u64)> = batch.iter().collect();
         for (name, strategy) in assoc_strategies(prefix, ways) {
             // Partial compare reads cache-maintained packed lane words in
             // the simulator (kept coherent incrementally at fill time), so

@@ -165,6 +165,43 @@ fn trace_tool_explain_rejects_non_power_of_two_assoc() {
 }
 
 #[test]
+fn trace_tool_rejects_assoc_beyond_the_valid_mask() {
+    for cmd in ["sim", "explain"] {
+        let out = trace_tool(&[cmd, tiny_trace(), "--assoc", "64"]);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{cmd} exits with an error, not a panic"
+        );
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            err.contains("exceeds the supported maximum 32"),
+            "{cmd}: {err}"
+        );
+    }
+}
+
+#[test]
+fn trace_tool_rejects_u32_flags_that_overflow() {
+    for (cmd, flag) in [
+        ("sim", "--assoc"),
+        ("sim", "--tag-bits"),
+        ("explain", "--assoc"),
+        ("explain", "--tag-bits"),
+        ("mattson", "--max-assoc"),
+    ] {
+        // 2^32 + 4 would truncate to 4 under an `as u32` cast.
+        let out = trace_tool(&[cmd, tiny_trace(), flag, "4294967300"]);
+        assert_eq!(out.status.code(), Some(1), "{cmd} {flag}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            err.contains(&format!("bad {flag} 4294967300")),
+            "{cmd}: {err}"
+        );
+    }
+}
+
+#[test]
 fn trace_tool_version_succeeds() {
     let out = trace_tool(&["--version"]);
     assert!(out.status.success());

@@ -2,7 +2,7 @@
 
 use crate::addr::AddressMapper;
 use crate::bank::SetBank;
-use crate::block::Frame;
+use crate::block::SetFrames;
 use crate::config::CacheConfig;
 use crate::replacement::Policy;
 use crate::stats::CacheStats;
@@ -55,9 +55,9 @@ pub struct AccessResult {
 pub struct Cache {
     config: CacheConfig,
     mapper: AddressMapper,
-    /// All set-local state (frames, recency, stats, packed lanes) lives in
-    /// one [`SetBank`] spanning every set; `Cache` adds the address
-    /// mapping on top.
+    /// All set-local state (tags, valid/dirty bits, recency, stats, packed
+    /// lanes) lives in one [`SetBank`] spanning every set; `Cache` adds the
+    /// address mapping on top.
     bank: SetBank,
 }
 
@@ -129,7 +129,7 @@ impl Cache {
     /// # Panics
     ///
     /// Panics if `set` is out of range.
-    pub fn set_frames(&self, set: u64) -> &[Frame] {
+    pub fn set_frames(&self, set: u64) -> SetFrames<'_> {
         self.bank
             .frames(usize::try_from(set).expect("set fits usize"))
     }

@@ -1,6 +1,7 @@
 //! Cache geometry configuration.
 
 use serde::{Deserialize, Serialize};
+use seta_core::MAX_ASSOC;
 use std::fmt;
 
 /// Errors from constructing a [`CacheConfig`].
@@ -18,6 +19,12 @@ pub enum CacheConfigError {
         /// Which parameter.
         field: &'static str,
     },
+    /// The associativity exceeds [`MAX_ASSOC`], the width of the per-set
+    /// valid mask a cache set is stored and priced with.
+    TooManyWays {
+        /// The requested associativity.
+        associativity: u32,
+    },
     /// The geometry is inconsistent (e.g. size < block × associativity).
     Inconsistent(String),
 }
@@ -29,6 +36,10 @@ impl fmt::Display for CacheConfigError {
                 write!(f, "{field} must be a power of two, got {value}")
             }
             CacheConfigError::Zero { field } => write!(f, "{field} must be positive"),
+            CacheConfigError::TooManyWays { associativity } => write!(
+                f,
+                "associativity {associativity} exceeds the supported maximum {MAX_ASSOC}"
+            ),
             CacheConfigError::Inconsistent(msg) => write!(f, "inconsistent geometry: {msg}"),
         }
     }
@@ -64,7 +75,8 @@ impl CacheConfig {
     /// # Errors
     ///
     /// Returns [`CacheConfigError`] if any parameter is zero or not a power
-    /// of two, or if `size_bytes < block_size × associativity`.
+    /// of two, if `associativity` exceeds [`MAX_ASSOC`], or if
+    /// `size_bytes < block_size × associativity`.
     pub fn new(
         size_bytes: u64,
         block_size: u64,
@@ -88,6 +100,9 @@ impl CacheConfig {
                 field: "associativity",
                 value: associativity as u64,
             });
+        }
+        if associativity as usize > MAX_ASSOC {
+            return Err(CacheConfigError::TooManyWays { associativity });
         }
         if size_bytes < block_size * associativity as u64 {
             return Err(CacheConfigError::Inconsistent(format!(
@@ -247,6 +262,25 @@ mod tests {
             CacheConfig::new(64, 32, 4),
             Err(CacheConfigError::Inconsistent(_))
         ));
+    }
+
+    #[test]
+    fn rejects_more_ways_than_the_valid_mask_holds() {
+        let max = MAX_ASSOC as u32;
+        assert!(CacheConfig::new(64 * 1024, 32, max).is_ok());
+        let err = CacheConfig::new(64 * 1024, 32, 2 * max).unwrap_err();
+        assert_eq!(
+            err,
+            CacheConfigError::TooManyWays {
+                associativity: 2 * max
+            }
+        );
+        assert!(
+            err.to_string().contains("exceeds the supported maximum 32"),
+            "{err}"
+        );
+        let c = CacheConfig::new(64 * 1024, 32, 4).unwrap();
+        assert!(c.with_associativity(2 * max).is_err());
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! each hint was still correct so simulations can quantify the optimization
 //! even though multi-level inclusion is not enforced.
 
-use crate::block::Frame;
+use crate::block::SetFrames;
 use crate::cache::Cache;
 use crate::config::CacheConfig;
 use crate::stats::CacheStats;
@@ -65,7 +65,7 @@ pub struct L2RequestView<'a> {
     /// Pre-access recency position of the hit way (0 = MRU), when `hit`.
     pub mru_distance: Option<usize>,
     /// The target set's frames (pre-access).
-    pub frames: &'a [Frame],
+    pub frames: SetFrames<'a>,
     /// The target set's recency order, MRU first (pre-access).
     pub order: &'a [u8],
     /// For write-backs: whether the L1's position hint still names the way
@@ -425,7 +425,7 @@ impl TwoLevel {
         let tag = self.l2.mapper().tag_of(addr);
         let frames = self.l2.set_frames(set);
         let order = self.l2.set_order(set);
-        let hit_way = frames.iter().position(|f| f.matches(tag)).map(|w| w as u8);
+        let hit_way = frames.find(tag);
         let mru_distance =
             hit_way.map(|w| order.iter().position(|&o| o == w).expect("permutation"));
         let hint_correct = match kind {

@@ -51,7 +51,7 @@ pub mod swap_two_way;
 
 pub use addr::AddressMapper;
 pub use bank::{BankAccess, SetBank};
-pub use block::Frame;
+pub use block::{Frame, FramesIter, SetFrames};
 pub use cache::{AccessResult, Cache, EvictedBlock};
 pub use config::{CacheConfig, CacheConfigError};
 pub use hash_rehash::{HashRehashCache, HrAccess};

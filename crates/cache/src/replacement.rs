@@ -10,6 +10,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use seta_core::MAX_ASSOC;
 
 /// Which replacement policy a [`Cache`](crate::Cache) uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -57,13 +58,14 @@ impl ReplacementState {
     ///
     /// # Panics
     ///
-    /// Panics if `assoc` is 0 or exceeds 256 (way indices are stored as
-    /// bytes; the paper studies associativities up to 16).
+    /// Panics if `assoc` is 0 or exceeds [`MAX_ASSOC`] (a set's valid
+    /// bits travel as one `u32` mask; the paper studies associativities up
+    /// to 16).
     pub fn new(policy: Policy, num_sets: usize, assoc: usize, seed: u64) -> Self {
         assert!(assoc > 0, "associativity must be positive");
         assert!(
-            assoc <= 256,
-            "associativity {assoc} exceeds supported maximum 256"
+            assoc <= MAX_ASSOC,
+            "associativity {assoc} exceeds MAX_ASSOC {MAX_ASSOC}"
         );
         let mut order = Vec::with_capacity(num_sets * assoc);
         for _ in 0..num_sets {
@@ -91,23 +93,18 @@ impl ReplacementState {
         &mut self.order[set * self.assoc..(set + 1) * self.assoc]
     }
 
-    /// Position of `way` in the recency list of `set` (0 = MRU).
+    /// Records a hit on `way`, refreshing recency under LRU, and returns
+    /// the way's position in the recency list *before* the hit (0 = MRU).
     ///
     /// # Panics
     ///
     /// Panics if `way` is not a way of this cache (the list is a
     /// permutation, so every valid way is present).
-    pub fn recency_of(&self, set: usize, way: u8) -> usize {
-        self.order(set)
-            .iter()
-            .position(|&w| w == way)
-            .expect("recency list is a permutation of the ways")
-    }
-
-    /// Records a hit on `way`, refreshing recency under LRU.
-    pub fn touch(&mut self, set: usize, way: u8) {
+    pub fn touch(&mut self, set: usize, way: u8) -> usize {
         if self.policy == Policy::Lru {
-            self.move_to_front(set, way);
+            self.move_to_front(set, way)
+        } else {
+            position_of(self.order(set), way)
         }
     }
 
@@ -115,25 +112,27 @@ impl ReplacementState {
     /// under LRU and FIFO.
     pub fn fill(&mut self, set: usize, way: u8) {
         match self.policy {
-            Policy::Lru | Policy::Fifo => self.move_to_front(set, way),
+            Policy::Lru | Policy::Fifo => {
+                self.move_to_front(set, way);
+            }
             Policy::Random => {}
         }
     }
 
-    /// Chooses a victim way for a miss in `set`. Invalid frames (per
-    /// `valid`) are preferred over evicting live blocks, as a set-associative
-    /// cache fills empty frames first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `valid.len()` differs from the associativity.
-    pub fn victim(&mut self, set: usize, valid: &[bool]) -> u8 {
-        assert_eq!(valid.len(), self.assoc, "valid mask has wrong width");
+    /// Chooses a victim way for a miss in `set`, given the set's valid
+    /// mask (bit `w` set iff way `w` holds a block). Invalid frames are
+    /// preferred over evicting live blocks, as a set-associative cache
+    /// fills empty frames first.
+    pub fn victim(&mut self, set: usize, valid: u32) -> u8 {
         // Fill the lowest-numbered invalid frame first (the usual hardware
         // convention); the paper's footnote 1 only requires that empty
-        // frames are reused before live blocks are evicted.
-        if let Some(way) = valid.iter().position(|&v| !v) {
-            return way as u8;
+        // frames are reused before live blocks are evicted. Ways beyond
+        // the associativity count as valid so they are never picked; at
+        // 32 ways the shift would overflow, and there are none.
+        let beyond = u32::MAX.checked_shl(self.assoc as u32).unwrap_or(0);
+        let empty = !(valid | beyond);
+        if empty != 0 {
+            return empty.trailing_zeros() as u8;
         }
         match self.policy {
             Policy::Lru | Policy::Fifo => {
@@ -143,13 +142,13 @@ impl ReplacementState {
         }
     }
 
-    fn move_to_front(&mut self, set: usize, way: u8) {
+    /// Moves `way` to the front of `set`'s recency list, returning its
+    /// position before the move.
+    fn move_to_front(&mut self, set: usize, way: u8) -> usize {
         let order = self.order_mut(set);
-        let pos = order
-            .iter()
-            .position(|&w| w == way)
-            .expect("recency list is a permutation of the ways");
+        let pos = position_of(order, way);
         order[..=pos].rotate_right(1);
+        pos
     }
 
     /// Resets every set's recency list to the initial order (used on flush).
@@ -161,6 +160,14 @@ impl ReplacementState {
             }
         }
     }
+}
+
+/// Position of `way` in a recency list.
+fn position_of(order: &[u8], way: u8) -> usize {
+    order
+        .iter()
+        .position(|&w| w == way)
+        .expect("recency list is a permutation of the ways")
 }
 
 #[cfg(test)]
@@ -210,40 +217,57 @@ mod tests {
     #[test]
     fn lru_victim_is_least_recent() {
         let mut s = ReplacementState::new(Policy::Lru, 1, 4, 0);
-        let all_valid = [true; 4];
         s.touch(0, 3);
         s.touch(0, 1);
         // order: 1 3 0 2 → victim 2
-        assert_eq!(s.victim(0, &all_valid), 2);
+        assert_eq!(s.victim(0, 0b1111), 2);
     }
 
     #[test]
     fn invalid_frames_are_filled_first() {
         let mut s = ReplacementState::new(Policy::Lru, 1, 4, 0);
         s.touch(0, 2);
-        let valid = [true, false, true, false];
         // Both 1 and 3 are invalid; fill the lowest-numbered one.
-        assert_eq!(s.victim(0, &valid), 1);
+        assert_eq!(s.victim(0, 0b0101), 1);
     }
 
     #[test]
     fn random_victim_covers_all_ways() {
         let mut s = ReplacementState::new(Policy::Random, 1, 4, 7);
-        let all_valid = [true; 4];
         let mut seen = [false; 4];
         for _ in 0..200 {
-            seen[s.victim(0, &all_valid) as usize] = true;
+            seen[s.victim(0, 0b1111) as usize] = true;
         }
         assert_eq!(seen, [true; 4]);
     }
 
     #[test]
-    fn recency_of_tracks_positions() {
+    fn touch_returns_the_prior_position() {
         let mut s = ReplacementState::new(Policy::Lru, 1, 4, 0);
-        s.touch(0, 2);
-        assert_eq!(s.recency_of(0, 2), 0);
-        assert_eq!(s.recency_of(0, 0), 1);
-        assert_eq!(s.recency_of(0, 3), 3);
+        assert_eq!(s.touch(0, 2), 2);
+        // order: 2 0 1 3
+        assert_eq!(s.touch(0, 2), 0);
+        assert_eq!(s.touch(0, 3), 3);
+        assert_eq!(s.order(0), &[3, 2, 0, 1]);
+        let mut f = ReplacementState::new(Policy::Fifo, 1, 4, 0);
+        assert_eq!(f.touch(0, 3), 3);
+        assert_eq!(f.touch(0, 3), 3, "FIFO hits do not reorder");
+    }
+
+    #[test]
+    fn victim_handles_the_full_width_mask() {
+        let mut s = ReplacementState::new(Policy::Lru, 1, MAX_ASSOC, 0);
+        assert_eq!(s.victim(0, u32::MAX >> 1), 31, "only the top way is empty");
+        assert_eq!(s.victim(0, u32::MAX), 31, "LRU tail of the identity order");
+        s.touch(0, 31);
+        assert_eq!(s.victim(0, u32::MAX), 30);
+        let mut narrow = ReplacementState::new(Policy::Lru, 1, 4, 0);
+        narrow.touch(0, 0);
+        assert_eq!(
+            narrow.victim(0, 0b1111),
+            3,
+            "bits beyond the ways are not empty frames"
+        );
     }
 
     #[test]
@@ -276,12 +300,11 @@ mod tests {
             ops in proptest::collection::vec((0usize..3, 0u8..8), 0..200)
         ) {
             let mut s = ReplacementState::new(Policy::Lru, 2, 8, 1);
-            let all_valid = [true; 8];
             for (op, way) in ops {
                 match op {
-                    0 => s.touch(way as usize % 2, way),
+                    0 => { s.touch(way as usize % 2, way); }
                     1 => s.fill(way as usize % 2, way),
-                    _ => { s.victim(way as usize % 2, &all_valid); }
+                    _ => { s.victim(way as usize % 2, 0xFF); }
                 }
                 prop_assert!(is_permutation(s.order(0)));
                 prop_assert!(is_permutation(s.order(1)));
@@ -292,7 +315,8 @@ mod tests {
         fn touched_way_is_mru(ways in proptest::collection::vec(0u8..8, 1..100)) {
             let mut s = ReplacementState::new(Policy::Lru, 1, 8, 1);
             for &w in &ways {
-                s.touch(0, w);
+                let before = s.order(0).iter().position(|&o| o == w).unwrap();
+                prop_assert_eq!(s.touch(0, w), before);
                 prop_assert_eq!(s.order(0)[0], w);
             }
         }

@@ -196,12 +196,11 @@ mod tests {
     use super::*;
     use crate::lookup::{Mru, Naive, Traditional};
 
-    fn view() -> SetView {
-        SetView::from_parts(
-            &[10, 11, 12, 13, 14, 15, 16, 17],
-            &[true; 8],
-            &[7, 6, 5, 4, 3, 2, 1, 0],
-        )
+    static TAGS: [u64; 8] = [10, 11, 12, 13, 14, 15, 16, 17];
+    static ORDER: [u8; 8] = [7, 6, 5, 4, 3, 2, 1, 0];
+
+    fn view() -> SetView<'static> {
+        SetView::from_parts(&TAGS, &[true; 8], &ORDER)
     }
 
     #[test]

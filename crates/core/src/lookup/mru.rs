@@ -169,9 +169,12 @@ impl Mru {
 mod tests {
     use super::*;
 
-    fn view() -> SetView {
-        // tags per way: w0=10, w1=11, w2=12, w3=13; MRU order 2,0,3,1.
-        SetView::from_parts(&[10, 11, 12, 13], &[true; 4], &[2, 0, 3, 1])
+    /// Tags per way: w0=10, w1=11, w2=12, w3=13; MRU order 2,0,3,1.
+    static TAGS: [u64; 4] = [10, 11, 12, 13];
+    static ORDER: [u8; 4] = [2, 0, 3, 1];
+
+    fn view() -> SetView<'static> {
+        SetView::from_parts(&TAGS, &[true; 4], &ORDER)
     }
 
     #[test]

@@ -1,16 +1,21 @@
-//! The input to a lookup: a snapshot of one cache set.
+//! The input to a lookup: a borrowed view of one cache set.
 
 use std::fmt;
 
 /// Maximum associativity a [`SetView`] can hold.
 ///
-/// The paper studies associativities up to 16; 32 leaves headroom for
-/// extension studies while keeping the view a small, copyable, heap-free
-/// value.
+/// A view is a borrowed view of a set's stored tags and recency order
+/// plus its valid bits as one `u32` mask, so 32 is the number of bits in
+/// that mask. The paper studies associativities up to 16.
 pub const MAX_ASSOC: usize = 32;
 
-/// A snapshot of one cache set: stored tags, valid bits, and the MRU order,
-/// as a lookup strategy would see them at the start of a cache access.
+/// One cache set as a lookup strategy sees it at the start of a cache
+/// access: stored tags, valid bits, and the MRU order.
+///
+/// The view borrows the tags and the order from wherever the set lives
+/// (a cache's set-major tag array, a test's local arrays), so building
+/// one copies nothing and allocates nothing; the valid bits travel as a
+/// mask. Bit `w` of the mask describes way `w`.
 ///
 /// Stored tags are full-width (`u64`). A correctly functioning cache's tags
 /// uniquely identify blocks within a set, so *full* compares against a
@@ -30,15 +35,14 @@ pub const MAX_ASSOC: usize = 32;
 /// assert!(!view.is_valid(1));
 /// assert_eq!(view.order(), &[1, 0]);
 /// ```
-#[derive(Clone, Copy)]
-pub struct SetView {
-    ways: u8,
-    tags: [u64; MAX_ASSOC],
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct SetView<'a> {
+    tags: &'a [u64],
     valid: u32,
-    order: [u8; MAX_ASSOC],
+    order: &'a [u8],
 }
 
-impl SetView {
+impl<'a> SetView<'a> {
     /// Builds a view from parallel slices: `tags[w]` and `valid[w]` describe
     /// way `w`, and `order` lists ways most-recently-used first.
     ///
@@ -46,65 +50,58 @@ impl SetView {
     ///
     /// Panics if the slices disagree in length, exceed [`MAX_ASSOC`], are
     /// empty, or if `order` is not a permutation of the ways.
-    pub fn from_parts(tags: &[u64], valid: &[bool], order: &[u8]) -> Self {
-        let ways = tags.len();
-        assert!(ways > 0, "a set has at least one way");
-        assert!(
-            ways <= MAX_ASSOC,
-            "associativity {ways} exceeds MAX_ASSOC {MAX_ASSOC}"
-        );
-        assert_eq!(valid.len(), ways, "valid mask length mismatch");
-        assert_eq!(order.len(), ways, "order length mismatch");
-        let mut seen = [false; MAX_ASSOC];
-        for &w in order {
-            assert!((w as usize) < ways, "order names way {w} of {ways}");
-            assert!(!seen[w as usize], "order repeats way {w}");
-            seen[w as usize] = true;
+    pub fn from_parts(tags: &'a [u64], valid: &[bool], order: &'a [u8]) -> Self {
+        check_shape(tags, order);
+        assert_eq!(valid.len(), tags.len(), "valid mask length mismatch");
+        SetView {
+            tags,
+            valid: mask_of(valid),
+            order,
         }
-        Self::build(tags, valid, order)
     }
 
     /// [`from_parts`](Self::from_parts) for callers that already guarantee
     /// the invariants — equal slice lengths in `1..=MAX_ASSOC` and `order`
-    /// a permutation of the ways — such as a simulator snapshotting a
-    /// well-formed cache set on every access. Skips the permutation
-    /// validation on release builds (it is O(ways) of branching per cache
-    /// access, pure overhead on the lookup hot path); debug builds still
-    /// check everything.
-    pub fn from_trusted_parts(tags: &[u64], valid: &[bool], order: &[u8]) -> Self {
+    /// a permutation of the ways. Skips the validation on release builds;
+    /// debug builds still check everything.
+    pub fn from_trusted_parts(tags: &'a [u64], valid: &[bool], order: &'a [u8]) -> Self {
         #[cfg(debug_assertions)]
         {
             Self::from_parts(tags, valid, order)
         }
         #[cfg(not(debug_assertions))]
         {
-            Self::build(tags, valid, order)
+            SetView {
+                tags,
+                valid: mask_of(valid),
+                order,
+            }
         }
     }
 
-    /// Shared constructor body; callers have validated (or vouch for) the
-    /// invariants. The slice copies still bound-check `ways`.
-    fn build(tags: &[u64], valid: &[bool], order: &[u8]) -> Self {
-        let ways = tags.len();
-        let mut view = SetView {
-            ways: ways as u8,
-            tags: [0; MAX_ASSOC],
-            valid: 0,
-            order: [0; MAX_ASSOC],
-        };
-        view.tags[..ways].copy_from_slice(tags);
-        view.order[..ways].copy_from_slice(order);
-        for (w, &v) in valid.iter().enumerate() {
-            if v {
-                view.valid |= 1 << w;
-            }
+    /// A view over a set stored as a tag row plus a valid bitmask (bit
+    /// `w` set iff way `w` holds a block), as a cache keeps it. The
+    /// caller vouches for the invariants of
+    /// [`from_parts`](Self::from_parts) and for `valid` naming only ways
+    /// of the set; debug builds check them, release builds do not.
+    #[inline]
+    pub fn from_mask(tags: &'a [u64], valid: u32, order: &'a [u8]) -> Self {
+        #[cfg(debug_assertions)]
+        {
+            check_shape(tags, order);
+            assert!(
+                tags.len() == MAX_ASSOC || valid >> tags.len() == 0,
+                "valid mask {valid:#x} names a way beyond {}",
+                tags.len()
+            );
         }
-        view
+        SetView { tags, valid, order }
     }
 
     /// Number of ways in the set.
+    #[inline]
     pub fn ways(&self) -> usize {
-        self.ways as usize
+        self.tags.len()
     }
 
     /// Stored tag of way `w` (meaningful only if [`is_valid`](Self::is_valid)).
@@ -129,13 +126,15 @@ impl SetView {
 
     /// All stored tags as a slice (`tags()[w]` is meaningful only when the
     /// corresponding [`valid_mask`](Self::valid_mask) bit is set).
-    pub fn tags(&self) -> &[u64] {
-        &self.tags[..self.ways()]
+    #[inline]
+    pub fn tags(&self) -> &'a [u64] {
+        self.tags
     }
 
     /// The MRU order: way indices, most-recently-used first.
-    pub fn order(&self) -> &[u8] {
-        &self.order[..self.ways()]
+    #[inline]
+    pub fn order(&self) -> &'a [u8] {
+        self.order
     }
 
     /// Bitmask of valid ways: bit `w` set iff way `w` holds a block.
@@ -145,16 +144,11 @@ impl SetView {
     }
 
     /// Whole-set equality bitmask: bit `w` set iff way `w` is valid and its
-    /// stored tag equals `tag`. This is the branchless core of the fast
-    /// lookup paths — one pass of data-parallel compares, no early exits —
-    /// so the compiler is free to vectorize it.
+    /// stored tag equals `tag` — [`tag_eq_mask`] restricted to valid ways,
+    /// the branchless core of the fast lookup paths.
     #[inline]
     pub fn eq_mask(&self, tag: u64) -> u32 {
-        let mut m = 0u32;
-        for (w, &t) in self.tags[..self.ways()].iter().enumerate() {
-            m |= ((t == tag) as u32) << w;
-        }
-        m & self.valid
+        tag_eq_mask(self.tags, tag) & self.valid
     }
 
     /// The way whose valid stored tag equals `tag`, if any. This is ground
@@ -167,7 +161,46 @@ impl SetView {
     }
 }
 
-impl fmt::Debug for SetView {
+/// Row equality bitmask: bit `w` set iff `tags[w] == tag`, for a row of
+/// at most [`MAX_ASSOC`] stored tags. One pass of data-parallel compares
+/// over contiguous tags with no early exit, so the compiler is free to
+/// vectorize it; a cache finds its hit way with the same compare.
+#[inline]
+pub fn tag_eq_mask(tags: &[u64], tag: u64) -> u32 {
+    let mut m = 0u32;
+    for (w, &t) in tags.iter().enumerate() {
+        m |= u32::from(t == tag) << w;
+    }
+    m
+}
+
+/// The checks every constructor shares: `1..=MAX_ASSOC` ways and `order`
+/// a permutation of them.
+fn check_shape(tags: &[u64], order: &[u8]) {
+    let ways = tags.len();
+    assert!(ways > 0, "a set has at least one way");
+    assert!(
+        ways <= MAX_ASSOC,
+        "associativity {ways} exceeds MAX_ASSOC {MAX_ASSOC}"
+    );
+    assert_eq!(order.len(), ways, "order length mismatch");
+    let mut seen = 0u32;
+    for &w in order {
+        assert!((w as usize) < ways, "order names way {w} of {ways}");
+        assert!(seen & (1 << w) == 0, "order repeats way {w}");
+        seen |= 1 << w;
+    }
+}
+
+/// Packs per-way valid flags into a mask, bit `w` for way `w`.
+fn mask_of(valid: &[bool]) -> u32 {
+    valid
+        .iter()
+        .enumerate()
+        .fold(0, |m, (w, &v)| m | (u32::from(v) << w))
+}
+
+impl fmt::Debug for SetView<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut d = f.debug_struct("SetView");
         d.field("ways", &self.ways());
@@ -260,6 +293,32 @@ mod tests {
             assert_eq!(checked.is_valid(w), trusted.is_valid(w));
             assert_eq!(checked.tag(w), trusted.tag(w));
         }
+    }
+
+    #[test]
+    fn mask_constructor_matches_checked_constructor() {
+        let tags = [1u64, 2, 3, 4];
+        let order = [3u8, 1, 0, 2];
+        let checked = SetView::from_parts(&tags, &[true, false, true, true], &order);
+        assert_eq!(SetView::from_mask(&tags, 0b1101, &order), checked);
+        assert_eq!(checked.valid_mask(), 0b1101);
+    }
+
+    #[test]
+    fn full_width_mask_covers_every_way() {
+        let tags: Vec<u64> = (0..MAX_ASSOC as u64).collect();
+        let order: Vec<u8> = (0..MAX_ASSOC as u8).collect();
+        let v = SetView::from_mask(&tags, u32::MAX, &order);
+        assert!(v.is_valid(MAX_ASSOC - 1));
+        assert_eq!(v.eq_mask(MAX_ASSOC as u64 - 1), 1 << (MAX_ASSOC - 1));
+        assert_eq!(v, SetView::from_parts(&tags, &[true; MAX_ASSOC], &order));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "names a way beyond")]
+    fn mask_naming_a_missing_way_panics_in_debug() {
+        SetView::from_mask(&[1, 2], 0b100, &[0, 1]);
     }
 
     #[test]

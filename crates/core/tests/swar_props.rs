@@ -19,7 +19,7 @@ use seta_core::{SetView, MAX_ASSOC};
 
 /// The scalar reference: `lookup_observed` with a no-op observer runs the
 /// retained pre-rewrite search loop in every built-in strategy.
-fn scalar(strategy: &StrategyKind, view: &SetView, tag: u64) -> seta_core::Lookup {
+fn scalar(strategy: &StrategyKind, view: &SetView<'_>, tag: u64) -> seta_core::Lookup {
     strategy.lookup_observed(view, tag, &mut ())
 }
 
@@ -32,7 +32,20 @@ fn transform(idx: u64) -> TransformKind {
     ][(idx % 4) as usize]
 }
 
-/// Builds a `ways`-way snapshot from oversized raw material, with a
+/// One generated set: the storage a [`SetView`] borrows.
+struct Case {
+    tags: Vec<u64>,
+    valid: Vec<bool>,
+    order: Vec<u8>,
+}
+
+impl Case {
+    fn view(&self) -> SetView<'_> {
+        SetView::from_parts(&self.tags, &self.valid, &self.order)
+    }
+}
+
+/// Builds a `ways`-way set from oversized raw material, with a
 /// pseudo-random MRU permutation, plus a probe tag that points at a stored
 /// (possibly invalid, possibly duplicated) tag about half the time.
 fn build_case(
@@ -42,7 +55,7 @@ fn build_case(
     seed: u64,
     pick: usize,
     raw_tag: u64,
-) -> (SetView, u64) {
+) -> (Case, u64) {
     let tags = &tags[..ways];
     let valid = &valid[..ways];
     let mut order: Vec<u8> = (0..ways as u8).collect();
@@ -58,7 +71,12 @@ fn build_case(
     } else {
         tags[(pick - 1) % ways]
     };
-    (SetView::from_parts(tags, valid, &order), tag)
+    let case = Case {
+        tags: tags.to_vec(),
+        valid: valid.to_vec(),
+        order,
+    };
+    (case, tag)
 }
 
 proptest! {
@@ -76,7 +94,8 @@ proptest! {
         banks in 1u32..=9,
         mru_banks in any::<bool>(),
     ) {
-        let (view, tag) = build_case(ways, &tags, &valid, seed, pick, raw_tag);
+        let (case, tag) = build_case(ways, &tags, &valid, seed, pick, raw_tag);
+        let view = case.view();
         let mru = match mru_len {
             0 => Mru::full(),
             l => Mru::truncated(l),
@@ -114,7 +133,8 @@ proptest! {
         subsets_sel in any::<u64>(),
         width_sel in any::<u64>(),
     ) {
-        let (view, tag) = build_case(ways, &tags, &valid, seed, pick, raw_tag);
+        let (case, tag) = build_case(ways, &tags, &valid, seed, pick, raw_tag);
+        let view = case.view();
         let divisors: Vec<u32> =
             (1..=ways as u32).filter(|d| ways as u32 % d == 0).collect();
         let subsets = divisors[(subsets_sel % divisors.len() as u64) as usize];
@@ -165,7 +185,8 @@ proptest! {
         other_transform in any::<bool>(),
     ) {
         let ways = 1usize << log_ways;
-        let (view, tag) = build_case(ways, &tags, &valid, seed, pick, raw_tag);
+        let (case, tag) = build_case(ways, &tags, &valid, seed, pick, raw_tag);
+        let view = case.view();
         // 32-bit tags keep k >= 1 for every power-of-two subset count.
         let subsets = 1u32 << (subsets_sel % (log_ways + 1));
         let kind = transform(transform_idx);

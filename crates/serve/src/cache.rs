@@ -9,11 +9,12 @@
 //! sequential [`Cache`](seta_cache::Cache) uses, partitioned into
 //! contiguous stripes, each behind its own [`Mutex`]. Lookup *cost* is
 //! priced the same way the sweep runner prices it — a [`StrategyKind`]
-//! dispatched against the pre-access [`SetView`], with the packed-lane
-//! fast path when the bank maintains lanes matching the strategy's spec.
+//! dispatched against the pre-access [`SetView`](seta_core::SetView)
+//! borrowed from the bank ([`SetBank::view`]), with the packed-lane fast
+//! path when the bank maintains lanes matching the strategy's spec.
 
 use seta_cache::{AddressMapper, CacheConfig, CacheStats, Policy, SetBank};
-use seta_core::{ProbeStats, SetView, StrategyKind};
+use seta_core::{ProbeStats, StrategyKind};
 use seta_obs::{ContentionObserver, NoContention};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -35,13 +36,11 @@ pub struct Response {
 }
 
 /// One stripe: a contiguous range of sets behind one lock, with its own
-/// probe accounting and scratch buffers so requests never allocate.
+/// probe accounting.
 #[derive(Debug)]
 struct Stripe {
     bank: SetBank,
     probes: ProbeStats,
-    tags_buf: Vec<u64>,
-    valid_buf: Vec<bool>,
 }
 
 /// A sharded concurrent set-associative write-back cache.
@@ -102,8 +101,6 @@ impl ConcurrentCache {
                 Mutex::new(Stripe {
                     bank,
                     probes: ProbeStats::new(),
-                    tags_buf: vec![0; assoc],
-                    valid_buf: vec![false; assoc],
                 })
             })
             .collect();
@@ -205,26 +202,13 @@ impl ConcurrentCache {
         };
         let stripe = &mut *guard;
 
-        // Snapshot the pre-access set state and price the lookup exactly
-        // like the sweep scorer: `StrategyKind::lookup_lanes`, which takes
-        // the packed-lane fast path when the bank maintains matching lanes.
-        for ((t, v), f) in stripe
-            .tags_buf
-            .iter_mut()
-            .zip(&mut stripe.valid_buf)
-            .zip(stripe.bank.frames(local))
-        {
-            *t = f.tag;
-            *v = f.valid;
-        }
-        let view = SetView::from_trusted_parts(
-            &stripe.tags_buf,
-            &stripe.valid_buf,
-            stripe.bank.order(local),
-        );
-        let lookup = self
-            .strategy
-            .lookup_lanes(&view, stripe.bank.lane_view(local), tag);
+        // Price the lookup against the pre-access set where it lives,
+        // exactly like the sweep scorer: `StrategyKind::lookup_lanes`, which
+        // takes the packed-lane fast path when the bank maintains matching
+        // lanes.
+        let lookup =
+            self.strategy
+                .lookup_lanes(&stripe.bank.view(local), stripe.bank.lane_view(local), tag);
 
         let r = stripe.bank.access(local, tag, is_write_back);
         debug_assert_eq!(

@@ -65,10 +65,6 @@ pub(crate) struct Scorer<'a> {
     strategies: &'a [StrategyKind],
     pub(crate) results: Vec<(ProbeStats, ProbeStats)>,
     pub(crate) mru_hist: MruDistanceHistogram,
-    /// Scratch buffers for snapshotting the target set, reused across
-    /// accesses so the lookup inner loop never allocates.
-    tags_buf: Vec<u64>,
-    valid_buf: Vec<bool>,
     /// Requests that change the MRU list (hits away from the MRU position,
     /// plus every miss) — Table 2's update probability `u`.
     pub(crate) mru_updates: u64,
@@ -81,8 +77,6 @@ impl<'a> Scorer<'a> {
             strategies,
             results: vec![(ProbeStats::new(), ProbeStats::new()); strategies.len()],
             mru_hist: MruDistanceHistogram::new(assoc as usize),
-            tags_buf: vec![0; assoc as usize],
-            valid_buf: vec![false; assoc as usize],
             mru_updates: 0,
             requests: 0,
         }
@@ -96,21 +90,11 @@ impl<'a> Scorer<'a> {
     /// statistics record — never a second execution.
     pub(crate) fn score_with<F>(&mut self, req: &L2RequestView<'_>, mut lookup: F)
     where
-        F: FnMut(usize, &StrategyKind, &SetView, u64) -> Lookup,
+        F: FnMut(usize, &StrategyKind, &SetView<'_>, u64) -> Lookup,
     {
-        for ((t, v), f) in self
-            .tags_buf
-            .iter_mut()
-            .zip(&mut self.valid_buf)
-            .zip(req.frames)
-        {
-            *t = f.tag;
-            *v = f.valid;
-        }
-        // The cache guarantees the snapshot's invariants (its recency order
-        // is always a permutation), so the trusted constructor skips the
-        // per-access validation scan.
-        let view = SetView::from_trusted_parts(&self.tags_buf, &self.valid_buf, req.order);
+        // The view borrows the set where the cache stores it; the cache
+        // guarantees its invariants, so nothing is copied or re-checked.
+        let view = req.frames.view(req.order);
 
         if req.kind == L2RequestKind::ReadIn && req.hit {
             self.mru_hist

@@ -19,15 +19,16 @@ use seta::core::lookup::{PartialCompare, TransformKind};
 use seta::core::transform::{Gf2Matrix, Identity, Improved, TagTransform, XorFold};
 use seta::core::{model, SetView};
 
-/// Builds a 4-way set of correlated tags: same high bits, low bits drawn
-/// from a small pool (offsets 0–127) — the virtual-address pathology.
-fn correlated_set(rng: &mut StdRng, high: u64) -> SetView {
+/// The tags of a full 4-way set of correlated tags: same high bits, low
+/// bits drawn from a small pool (offsets 0–127) — the virtual-address
+/// pathology.
+fn correlated_tags(rng: &mut StdRng, high: u64) -> [u64; 4] {
     let base = high << 8;
     let mut tags = [0u64; 4];
     for (i, t) in tags.iter_mut().enumerate() {
         *t = base | (rng.gen_range(0u64..32) << 2) | i as u64;
     }
-    SetView::from_parts(&tags, &[true; 4], &[0, 1, 2, 3])
+    tags
 }
 
 fn main() {
@@ -50,7 +51,8 @@ fn main() {
         let mut r = StdRng::seed_from_u64(7);
         for _ in 0..trials {
             let high = r.gen_range(0u64..4); // few distinct high-bit patterns
-            let view = correlated_set(&mut r, high);
+            let tags = correlated_tags(&mut r, high);
+            let view = SetView::from_parts(&tags, &[true; 4], &[0, 1, 2, 3]);
             // Probe with a tag from the same region that is NOT resident
             // (stored offsets stay below 128; incoming start at 128).
             let incoming = (high << 8) | (r.gen_range(32u64..64) << 2);
