@@ -20,6 +20,14 @@
 //! hint lets the L2 skip tag probes entirely; the hierarchy reports whether
 //! each hint was still correct so simulations can quantify the optimization
 //! even though multi-level inclusion is not enforced.
+//!
+//! A hierarchy step is two halves. The L1 half ([`step_l1`]) services the
+//! reference in the L1 and, on a miss, returns the [`L1Miss`] traffic; the
+//! L2 half ([`L2Half::serve`]) issues that traffic and keeps the hints.
+//! The L2 traffic depends only on the trace and the L1, so a sweep can run
+//! an L1 over a trace once ([`filter_l1`]) and replay the misses through
+//! every L2 behind it ([`L2Half::replay`]); [`TwoLevel`] runs the same two
+//! halves back to back.
 
 use crate::block::SetFrames;
 use crate::cache::Cache;
@@ -237,7 +245,250 @@ impl std::iter::Sum for TwoLevelStats {
     }
 }
 
-/// The two-level write-back hierarchy.
+/// The level-two traffic one L1 miss causes: a read-in of the missing
+/// block and, when the L1 victim was dirty, its write-back. This is all
+/// the L2 ever sees of a processor reference, and it depends only on the
+/// trace and the L1 — so one L1 pass can feed any number of L2s.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct L1Miss {
+    /// Block-aligned address (in the L1's block size) to read in.
+    pub read_addr: u64,
+    /// Index of the L1 frame the block fills (`set × assoc + way`): it
+    /// keys the position hint the L2 half keeps for that frame.
+    pub frame: usize,
+    /// Block-aligned address of the dirty L1 victim, when there is one.
+    pub write_back: Option<u64>,
+}
+
+/// One event of a trace filtered through a private L1: what the L2 half
+/// of a hierarchy replays.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FilteredEvent {
+    /// An L1 miss and the requests it sends to L2.
+    Miss(L1Miss),
+    /// A segment boundary: the L2 is flushed and its hints cleared.
+    Flush,
+}
+
+/// The L1 half of a hierarchy step: services `record` in the private L1
+/// and, on a miss, returns the L2 traffic it causes. `sink` sees the L1
+/// outcome. Counting processor references is the caller's job.
+pub fn step_l1<M: MetricsSink>(
+    l1: &mut Cache,
+    record: &TraceRecord,
+    sink: &mut M,
+) -> Option<L1Miss> {
+    let set = l1.mapper().set_of(record.addr);
+    let r = l1.access(record.addr, record.kind.is_write());
+    sink.on_ref(r.hit);
+    if r.hit {
+        return None;
+    }
+    Some(L1Miss {
+        read_addr: record.block_addr(l1.config().block_size()),
+        frame: set as usize * l1.config().associativity() as usize + r.way as usize,
+        write_back: r.evicted.filter(|v| v.dirty).map(|v| v.addr),
+    })
+}
+
+/// Runs the L1 half over `events`, appending every miss and flush to
+/// `out`. `stats` receives the L1 side's counters (`processor_refs` and
+/// `flushes`); replaying `out` through an [`L2Half`] adds the rest.
+pub fn filter_l1<I>(
+    l1: &mut Cache,
+    events: I,
+    stats: &mut TwoLevelStats,
+    out: &mut Vec<FilteredEvent>,
+) where
+    I: IntoIterator<Item = TraceEvent>,
+{
+    for event in events {
+        match event {
+            TraceEvent::Ref(r) => {
+                stats.processor_refs += 1;
+                if let Some(miss) = step_l1(l1, &r, &mut ()) {
+                    out.push(FilteredEvent::Miss(miss));
+                }
+            }
+            TraceEvent::Flush => {
+                l1.flush();
+                stats.flushes += 1;
+                out.push(FilteredEvent::Flush);
+            }
+        }
+    }
+}
+
+/// The L2 half of the hierarchy: the level-two cache plus the per-L1-frame
+/// position hints of the paper's write-back optimization. It owns the
+/// read-in, write-back and hint counters of [`TwoLevelStats`]; the L1 side
+/// owns `processor_refs` and `flushes`.
+#[derive(Debug, Clone)]
+pub struct L2Half {
+    l2: Cache,
+    /// Per-L1-frame hint: the L2 way the frame's block was loaded from.
+    hints: Vec<Option<u8>>,
+}
+
+impl L2Half {
+    /// Creates an empty L2 half behind an L1 of geometry `l1`, using
+    /// `l2_policy` (and `seed`, for [`Policy::Random`](crate::Policy)).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HierarchyError::BlockSizeMismatch`] if the L1 block size
+    /// exceeds the L2 block size.
+    pub fn new(
+        l1: CacheConfig,
+        l2: CacheConfig,
+        l2_policy: crate::Policy,
+        seed: u64,
+    ) -> Result<Self, HierarchyError> {
+        if l1.block_size() > l2.block_size() {
+            return Err(HierarchyError::BlockSizeMismatch {
+                l1: l1.block_size(),
+                l2: l2.block_size(),
+            });
+        }
+        Ok(L2Half {
+            l2: Cache::with_policy(l2, l2_policy, seed),
+            hints: vec![None; l1.num_frames() as usize],
+        })
+    }
+
+    /// The level-two cache.
+    pub fn cache(&self) -> &Cache {
+        &self.l2
+    }
+
+    /// Starts maintaining packed tag lanes on the level-two cache (see
+    /// [`TwoLevel::enable_partial_lanes`]).
+    pub fn enable_partial_lanes(&mut self, spec: seta_core::packed::LaneSpec) -> bool {
+        self.l2.enable_partial_lanes(spec)
+    }
+
+    /// The L2 half of a hierarchy step: issues `miss`'s read-in, records
+    /// the way it filled as the frame's new hint, then issues the dirty
+    /// victim's write-back checked against the frame's *old* hint.
+    pub fn serve<O: L2Observer, M: MetricsSink>(
+        &mut self,
+        miss: L1Miss,
+        stats: &mut TwoLevelStats,
+        observer: &mut O,
+        sink: &mut M,
+    ) {
+        // Read-in first (per Table 3: "the new block is first obtained via a
+        // read-in request, then a write-back is issued").
+        let victim_hint = self.hints[miss.frame];
+        let way = self.issue(
+            L2RequestKind::ReadIn,
+            miss.read_addr,
+            None,
+            stats,
+            observer,
+            sink,
+        );
+        self.hints[miss.frame] = Some(way);
+        if let Some(addr) = miss.write_back {
+            self.issue(
+                L2RequestKind::WriteBack,
+                addr,
+                victim_hint,
+                stats,
+                observer,
+                sink,
+            );
+        }
+    }
+
+    /// Replays a trace filtered by [`filter_l1`] (from an L1 of the
+    /// geometry this half was built for), counting into `stats`.
+    pub fn replay<O: L2Observer>(
+        &mut self,
+        events: &[FilteredEvent],
+        stats: &mut TwoLevelStats,
+        observer: &mut O,
+    ) {
+        for event in events {
+            match *event {
+                FilteredEvent::Miss(miss) => self.serve(miss, stats, observer, &mut ()),
+                FilteredEvent::Flush => self.flush(),
+            }
+        }
+    }
+
+    /// Discards the L2's contents and clears every hint.
+    pub fn flush(&mut self) {
+        self.l2.flush();
+        self.hints.fill(None);
+    }
+
+    /// Issues one L2 request: observes the pre-state, then performs the
+    /// access. Returns the way the block occupies afterwards.
+    fn issue<O: L2Observer, M: MetricsSink>(
+        &mut self,
+        kind: L2RequestKind,
+        addr: u64,
+        hint: Option<u8>,
+        stats: &mut TwoLevelStats,
+        observer: &mut O,
+        sink: &mut M,
+    ) -> u8 {
+        let set = self.l2.mapper().set_of(addr);
+        let tag = self.l2.mapper().tag_of(addr);
+        let frames = self.l2.set_frames(set);
+        let order = self.l2.set_order(set);
+        let hit_way = frames.find(tag);
+        let mru_distance =
+            hit_way.map(|w| order.iter().position(|&o| o == w).expect("permutation"));
+        let hint_correct = match kind {
+            L2RequestKind::ReadIn => None,
+            L2RequestKind::WriteBack => Some(hint.is_some() && hint == hit_way),
+        };
+        let view = L2RequestView {
+            kind,
+            addr,
+            set,
+            tag,
+            hit: hit_way.is_some(),
+            hit_way,
+            mru_distance,
+            frames,
+            order,
+            hint_correct,
+            lanes: self.l2.lane_view(set),
+        };
+        observer.on_l2_request(&view);
+
+        let is_write = kind == L2RequestKind::WriteBack;
+        let result = self.l2.access(addr, is_write);
+        sink.on_l2(kind, result.hit);
+        sink.on_l2_set(set, kind, result.hit, mru_distance);
+        match kind {
+            L2RequestKind::ReadIn => {
+                stats.read_ins += 1;
+                if result.hit {
+                    stats.read_in_hits += 1;
+                }
+            }
+            L2RequestKind::WriteBack => {
+                stats.write_backs += 1;
+                if result.hit {
+                    stats.write_back_hits += 1;
+                }
+                stats.hint_checks += 1;
+                if hint_correct == Some(true) {
+                    stats.hint_correct += 1;
+                }
+            }
+        }
+        result.way
+    }
+}
+
+/// The two-level write-back hierarchy: a private L1 in front of an
+/// [`L2Half`]. Each step runs [`step_l1`] and hands any miss to
+/// [`L2Half::serve`].
 ///
 /// # Example
 ///
@@ -257,9 +508,7 @@ impl std::iter::Sum for TwoLevelStats {
 #[derive(Debug, Clone)]
 pub struct TwoLevel {
     l1: Cache,
-    l2: Cache,
-    /// Per-L1-frame hint: the L2 way the frame's block was loaded from.
-    hints: Vec<Option<u8>>,
+    l2: L2Half,
     stats: TwoLevelStats,
 }
 
@@ -317,17 +566,9 @@ impl TwoLevel {
         l2_policy: crate::Policy,
         seed: u64,
     ) -> Result<Self, HierarchyError> {
-        if l1.block_size() > l2.block_size() {
-            return Err(HierarchyError::BlockSizeMismatch {
-                l1: l1.block_size(),
-                l2: l2.block_size(),
-            });
-        }
-        let l1_frames = l1.num_frames() as usize;
         Ok(TwoLevel {
+            l2: L2Half::new(l1, l2, l2_policy, seed)?,
             l1: Cache::new(l1),
-            l2: Cache::with_policy(l2, l2_policy, seed),
-            hints: vec![None; l1_frames],
             stats: TwoLevelStats::default(),
         })
     }
@@ -339,7 +580,7 @@ impl TwoLevel {
 
     /// The level-two cache.
     pub fn l2(&self) -> &Cache {
-        &self.l2
+        self.l2.cache()
     }
 
     /// Starts maintaining packed tag lanes on the level-two cache, so every
@@ -357,11 +598,7 @@ impl TwoLevel {
 
     /// Per-level access statistics `(l1, l2)`.
     pub fn level_stats(&self) -> (CacheStats, CacheStats) {
-        (*self.l1.stats(), *self.l2.stats())
-    }
-
-    fn l1_frame_index(&self, set: u64, way: u8) -> usize {
-        set as usize * self.l1.config().associativity() as usize + way as usize
+        (*self.l1.stats(), *self.l2.cache().stats())
     }
 
     /// Services one processor reference, notifying `observer` of every L2
@@ -371,7 +608,8 @@ impl TwoLevel {
     }
 
     /// [`step`](Self::step) with a [`MetricsSink`] receiving the L1 and
-    /// L2 outcomes.
+    /// L2 outcomes: the L1 half ([`step_l1`]), then the L2 half
+    /// ([`L2Half::serve`]) on a miss.
     pub fn step_metered<O: L2Observer, M: MetricsSink>(
         &mut self,
         record: &TraceRecord,
@@ -379,97 +617,9 @@ impl TwoLevel {
         sink: &mut M,
     ) {
         self.stats.processor_refs += 1;
-        let is_write = record.kind.is_write();
-        let l1_set = self.l1.mapper().set_of(record.addr);
-        let r1 = self.l1.access(record.addr, is_write);
-        sink.on_ref(r1.hit);
-        if r1.hit {
-            return;
+        if let Some(miss) = step_l1(&mut self.l1, record, sink) {
+            self.l2.serve(miss, &mut self.stats, observer, sink);
         }
-
-        // L1 miss: remember the victim's hint before overwriting the frame's
-        // hint with the incoming block's L2 position.
-        let frame_idx = self.l1_frame_index(l1_set, r1.way);
-        let victim_hint = self.hints[frame_idx];
-
-        // Read-in first (per Table 3: "the new block is first obtained via a
-        // read-in request, then a write-back is issued").
-        let read_addr = record.block_addr(self.l1.config().block_size());
-        let l2_way = self.issue(L2RequestKind::ReadIn, read_addr, None, observer, sink);
-        self.hints[frame_idx] = Some(l2_way);
-
-        if let Some(victim) = r1.evicted {
-            if victim.dirty {
-                self.issue(
-                    L2RequestKind::WriteBack,
-                    victim.addr,
-                    victim_hint,
-                    observer,
-                    sink,
-                );
-            }
-        }
-    }
-
-    /// Issues one L2 request: observes the pre-state, then performs the
-    /// access. Returns the way the block occupies afterwards.
-    fn issue<O: L2Observer, M: MetricsSink>(
-        &mut self,
-        kind: L2RequestKind,
-        addr: u64,
-        hint: Option<u8>,
-        observer: &mut O,
-        sink: &mut M,
-    ) -> u8 {
-        let set = self.l2.mapper().set_of(addr);
-        let tag = self.l2.mapper().tag_of(addr);
-        let frames = self.l2.set_frames(set);
-        let order = self.l2.set_order(set);
-        let hit_way = frames.find(tag);
-        let mru_distance =
-            hit_way.map(|w| order.iter().position(|&o| o == w).expect("permutation"));
-        let hint_correct = match kind {
-            L2RequestKind::ReadIn => None,
-            L2RequestKind::WriteBack => Some(hint.is_some() && hint == hit_way),
-        };
-        let view = L2RequestView {
-            kind,
-            addr,
-            set,
-            tag,
-            hit: hit_way.is_some(),
-            hit_way,
-            mru_distance,
-            frames,
-            order,
-            hint_correct,
-            lanes: self.l2.lane_view(set),
-        };
-        observer.on_l2_request(&view);
-
-        let is_write = kind == L2RequestKind::WriteBack;
-        let result = self.l2.access(addr, is_write);
-        sink.on_l2(kind, result.hit);
-        sink.on_l2_set(set, kind, result.hit, mru_distance);
-        match kind {
-            L2RequestKind::ReadIn => {
-                self.stats.read_ins += 1;
-                if result.hit {
-                    self.stats.read_in_hits += 1;
-                }
-            }
-            L2RequestKind::WriteBack => {
-                self.stats.write_backs += 1;
-                if result.hit {
-                    self.stats.write_back_hits += 1;
-                }
-                self.stats.hint_checks += 1;
-                if hint_correct == Some(true) {
-                    self.stats.hint_correct += 1;
-                }
-            }
-        }
-        result.way
     }
 
     /// Flushes both levels (contents discarded, hints cleared), as at the
@@ -477,7 +627,6 @@ impl TwoLevel {
     pub fn flush(&mut self) {
         self.l1.flush();
         self.l2.flush();
-        self.hints.fill(None);
         self.stats.flushes += 1;
     }
 
@@ -538,11 +687,11 @@ impl TwoLevel {
             let set = self.l1.mapper().set_of(addr);
             let assoc = self.l1.config().associativity() as usize;
             let base = set as usize * assoc;
-            for slot in &mut self.hints[base..base + assoc] {
+            for slot in &mut self.l2.hints[base..base + assoc] {
                 *slot = None;
             }
         }
-        let in_l2 = self.l2.invalidate(addr);
+        let in_l2 = self.l2.l2.invalidate(addr);
         (in_l1, in_l2)
     }
 
@@ -552,7 +701,7 @@ impl TwoLevel {
     pub fn inclusion_violations(&self) -> usize {
         self.l1
             .resident_addrs()
-            .filter(|&a| self.l2.probe(a).is_none())
+            .filter(|&a| self.l2().probe(a).is_none())
             .count()
     }
 }

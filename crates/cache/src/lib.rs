@@ -56,7 +56,8 @@ pub use cache::{AccessResult, Cache, EvictedBlock};
 pub use config::{CacheConfig, CacheConfigError};
 pub use hash_rehash::{HashRehashCache, HrAccess};
 pub use hierarchy::{
-    L2Observer, L2RequestKind, L2RequestView, MetricsSink, TwoLevel, TwoLevelStats,
+    filter_l1, step_l1, FilteredEvent, L1Miss, L2Half, L2Observer, L2RequestKind, L2RequestView,
+    MetricsSink, TwoLevel, TwoLevelStats,
 };
 pub use mattson::MattsonAnalyzer;
 pub use multilevel::{LevelTraffic, MultiLevel, MultiLevelObserver};

@@ -2,8 +2,9 @@
 //!
 //! Each client thread owns a private L1 (the same direct-mapped
 //! [`Cache`] the sequential hierarchy uses) and replays
-//! trace chunks against the shared [`ConcurrentCache`], issuing exactly
-//! the requests [`TwoLevel`](seta_cache::TwoLevel) would: a read-in per L1
+//! trace chunks against the shared [`ConcurrentCache`]. The L1 runs the
+//! hierarchy's own L1 half ([`step_l1`]), so a client issues exactly the
+//! requests [`TwoLevel`](seta_cache::TwoLevel) would: a read-in per L1
 //! miss, then a write-back per dirty L1 victim. Chunks come off an atomic
 //! work queue — the sweep runner's sharding pattern, via
 //! [`seta_sim::partition`] — and every client starts each chunk from a
@@ -19,7 +20,7 @@
 
 use crate::cache::ConcurrentCache;
 use serde::Serialize;
-use seta_cache::{Cache, CacheConfig, CacheStats};
+use seta_cache::{step_l1, Cache, CacheConfig, CacheStats};
 use seta_core::{ProbeStats, StrategyKind};
 use seta_obs::{
     labeled, ContentionObserver, ContentionReport, LatencyRecorder, NoContention,
@@ -220,9 +221,10 @@ impl<'a, O: ContentionObserver> Client<'a, O> {
         resp
     }
 
-    /// Replays one trace event — the same request sequence
-    /// [`TwoLevel::step`](seta_cache::TwoLevel) issues: read-in first,
-    /// then the dirty victim's write-back.
+    /// Replays one trace event through the hierarchy's own L1 half
+    /// ([`step_l1`]), issuing the requests
+    /// [`TwoLevel::step`](seta_cache::TwoLevel) would: read-in first, then
+    /// the dirty victim's write-back.
     fn step(&mut self, event: &TraceEvent) {
         let record = match event {
             TraceEvent::Flush => {
@@ -233,20 +235,17 @@ impl<'a, O: ContentionObserver> Client<'a, O> {
             TraceEvent::Ref(r) => r,
         };
         self.refs += 1;
-        let r1 = self.l1.access(record.addr, record.kind.is_write());
-        if r1.hit {
+        let Some(miss) = step_l1(&mut self.l1, record, &mut ()) else {
             return;
-        }
-        let resp = self.request(record.block_addr(self.l1.config().block_size()), false);
+        };
+        let resp = self.request(miss.read_addr, false);
         self.read_ins += 1;
         self.read_in_hits += u64::from(resp.hit);
         self.probes += u64::from(resp.probes);
-        if let Some(victim) = r1.evicted {
-            if victim.dirty {
-                let resp = self.request(victim.addr, true);
-                self.write_backs += 1;
-                self.write_back_hits += u64::from(resp.hit);
-            }
+        if let Some(victim) = miss.write_back {
+            let resp = self.request(victim, true);
+            self.write_backs += 1;
+            self.write_back_hits += u64::from(resp.hit);
         }
     }
 

@@ -3,7 +3,8 @@
 use crate::partition::{chunk_ranges, requested_threads};
 use serde::{Deserialize, Serialize};
 use seta_cache::{
-    CacheConfig, CacheStats, L2Observer, L2RequestKind, L2RequestView, TwoLevel, TwoLevelStats,
+    filter_l1, Cache, CacheConfig, CacheStats, FilteredEvent, L2Half, L2Observer, L2RequestKind,
+    L2RequestView, TwoLevel, TwoLevelStats,
 };
 use seta_core::lookup::{
     Lookup, Mru, Naive, PartialCompare, StrategyKind, Traditional, TransformKind,
@@ -371,16 +372,40 @@ impl RunSpec {
         let mut scorer = Scorer::new(&strategies, self.l2.associativity());
         hierarchy.run(events, &mut scorer);
         let (l1_stats, l2_stats) = hierarchy.level_stats();
-        ShardOutcome {
-            hierarchy: *hierarchy.stats(),
-            l1_stats,
-            l2_stats,
-            results: scorer.results,
-            mru_hist: scorer.mru_hist,
-            mru_updates: scorer.mru_updates,
-            requests: scorer.requests,
-        }
+        ShardOutcome::new(*hierarchy.stats(), l1_stats, l2_stats, scorer)
     }
+
+    /// Replays events already filtered through this spec's L1 into a fresh
+    /// L2 half. `l1_side` and `l1_stats` are that L1 pass's counters; the
+    /// replay adds the L2 side's.
+    fn replay_filtered(
+        &self,
+        filtered: &[FilteredEvent],
+        l1_side: TwoLevelStats,
+        l1_stats: CacheStats,
+    ) -> ShardOutcome {
+        let strategies = standard_strategies(self.l2.associativity(), self.tag_bits);
+        let mut l2 = L2Half::new(self.l1, self.l2, seta_cache::Policy::Lru, 0)
+            .expect("L1 blocks must fit in L2 blocks");
+        if let Some(spec) = partial_lane_spec(&strategies, self.l2.associativity()) {
+            l2.enable_partial_lanes(spec);
+        }
+        let mut scorer = Scorer::new(&strategies, self.l2.associativity());
+        let mut hierarchy = TwoLevelStats::default();
+        l2.replay(filtered, &mut hierarchy, &mut scorer);
+        hierarchy += l1_side;
+        ShardOutcome::new(hierarchy, l1_stats, *l2.cache().stats(), scorer)
+    }
+}
+
+/// A worker's sweep buffers, reused across shards so that a worker holds
+/// at most one segment's events and one L1 pass's misses at a time.
+#[derive(Default)]
+pub(crate) struct ShardScratch {
+    /// The shard's generated events, sized exactly.
+    events: Vec<TraceEvent>,
+    /// Those events filtered through one L1: its misses and flushes.
+    filtered: Vec<FilteredEvent>,
 }
 
 /// One work item of a sharded sweep: a contiguous segment range simulated
@@ -394,28 +419,56 @@ pub(crate) struct Shard {
 
 impl Shard {
     /// Simulates this shard under each of its specs, returning one outcome
-    /// per spec. A single spec streams straight from the generator; several
-    /// specs share one generation of the segments, buffered in `buf` (kept
-    /// by the worker across shards and sized exactly, so a worker holds at
-    /// most one segment's events at a time).
-    fn run(&self, specs: &[RunSpec], buf: &mut Vec<TraceEvent>) -> Vec<ShardOutcome> {
+    /// per spec and the number of L1 passes made. A single spec streams
+    /// straight from the generator. Several specs share one generation of
+    /// the segments, buffered in `scratch`; since the L2 sees only L1
+    /// traffic, the buffer is then filtered once per distinct L1 and each
+    /// spec with that L1 replays the misses through its own L2 half.
+    fn run(&self, specs: &[RunSpec], scratch: &mut ShardScratch) -> (Vec<ShardOutcome>, u64) {
         let head = &specs[self.specs[0]];
         if self.specs.len() == 1 {
-            return vec![head.run_segments(self.seg_start, self.seg_end)];
+            return (vec![head.run_segments(self.seg_start, self.seg_end)], 1);
         }
         let segments = self.seg_end - self.seg_start;
-        buf.clear();
-        buf.reserve_exact(segments * (head.trace.refs_per_segment as usize + 1));
-        buf.extend(AtumLike::segment_range(
+        scratch.events.clear();
+        scratch
+            .events
+            .reserve_exact(segments * (head.trace.refs_per_segment as usize + 1));
+        scratch.events.extend(AtumLike::segment_range(
             head.trace.clone(),
             head.seed,
             self.seg_start,
             self.seg_end,
         ));
-        self.specs
-            .iter()
-            .map(|&i| specs[i].run_events(buf.iter().copied()))
-            .collect()
+        let mut outs: Vec<Option<ShardOutcome>> = self.specs.iter().map(|_| None).collect();
+        let mut l1_passes = 0;
+        for (k, &i) in self.specs.iter().enumerate() {
+            if outs[k].is_some() {
+                continue;
+            }
+            let l1 = specs[i].l1;
+            let mut cache = Cache::new(l1);
+            let mut l1_side = TwoLevelStats::default();
+            scratch.filtered.clear();
+            filter_l1(
+                &mut cache,
+                scratch.events.iter().copied(),
+                &mut l1_side,
+                &mut scratch.filtered,
+            );
+            l1_passes += 1;
+            for (out, &j) in outs.iter_mut().zip(&self.specs).skip(k) {
+                if specs[j].l1 == l1 {
+                    *out =
+                        Some(specs[j].replay_filtered(&scratch.filtered, l1_side, *cache.stats()));
+                }
+            }
+        }
+        let outs = outs
+            .into_iter()
+            .map(|o| o.expect("every spec's L1 was filtered"))
+            .collect();
+        (outs, l1_passes)
     }
 
     /// Span name: the spec indices (consecutive runs collapsed) and the
@@ -462,6 +515,25 @@ pub(crate) struct ShardOutcome {
 }
 
 impl ShardOutcome {
+    /// Collects one spec's counters from its hierarchy statistics and
+    /// finished scorer.
+    fn new(
+        hierarchy: TwoLevelStats,
+        l1_stats: CacheStats,
+        l2_stats: CacheStats,
+        scorer: Scorer<'_>,
+    ) -> Self {
+        ShardOutcome {
+            hierarchy,
+            l1_stats,
+            l2_stats,
+            results: scorer.results,
+            mru_hist: scorer.mru_hist,
+            mru_updates: scorer.mru_updates,
+            requests: scorer.requests,
+        }
+    }
+
     /// Folds `other` (another segment range of the same spec) into `self`.
     fn merge(&mut self, other: ShardOutcome) {
         self.hierarchy += other.hierarchy;
@@ -584,8 +656,8 @@ pub(crate) trait SweepTracer: Sync {
     /// Called when the worker dequeues a shard, before simulating it.
     fn shard_begin(&self, worker: &mut Self::Worker, shard: &Shard);
     /// Called when the shard's simulation finishes, with one outcome per
-    /// spec in the shard.
-    fn shard_end(&self, worker: &mut Self::Worker, outs: &[ShardOutcome]);
+    /// spec in the shard and the number of L1 passes it made.
+    fn shard_end(&self, worker: &mut Self::Worker, outs: &[ShardOutcome], l1_passes: u64);
     /// Called when the queue is drained, still on the worker's thread.
     fn worker_finish(&self, worker: Self::Worker);
     /// Brackets the sequential fold of shard outcomes on the main thread.
@@ -601,7 +673,7 @@ impl SweepTracer for NoTracer {
     type Worker = ();
     fn worker_start(&self, _track: u32) {}
     fn shard_begin(&self, _worker: &mut (), _shard: &Shard) {}
-    fn shard_end(&self, _worker: &mut (), _outs: &[ShardOutcome]) {}
+    fn shard_end(&self, _worker: &mut (), _outs: &[ShardOutcome], _l1_passes: u64) {}
     fn worker_finish(&self, _worker: ()) {}
     fn merge_begin(&self) {}
     fn merge_end(&self) {}
@@ -684,7 +756,7 @@ impl SweepTracer for SweepSpanTracer {
         w.current = Some(w.buf.open(shard.name(), "shard"));
     }
 
-    fn shard_end(&self, w: &mut SpanWorker, outs: &[ShardOutcome]) {
+    fn shard_end(&self, w: &mut SpanWorker, outs: &[ShardOutcome], l1_passes: u64) {
         let id = w.current.take().expect("shard_begin opened the span");
         let sum = |f: fn(&ShardOutcome) -> u64| outs.iter().map(f).sum();
         w.buf
@@ -696,6 +768,7 @@ impl SweepTracer for SweepSpanTracer {
             .counter(id, "write_backs", sum(|o| o.hierarchy.write_backs));
         w.buf
             .counter(id, "probes", sum(|o| shard_probe_total(&o.results)));
+        w.buf.counter(id, "l1_passes", l1_passes);
         w.buf.close(id);
         w.wait = w.buf.open("queue-wait", "queue-wait");
     }
@@ -810,8 +883,8 @@ impl SweepTracer for ServeSweepTracer {
         });
     }
 
-    fn shard_end(&self, w: &mut SpanWorker, outs: &[ShardOutcome]) {
-        self.inner.shard_end(w, outs);
+    fn shard_end(&self, w: &mut SpanWorker, outs: &[ShardOutcome], l1_passes: u64) {
+        self.inner.shard_end(w, outs, l1_passes);
         let worker = w.buf.track().to_string();
         let shard_refs: u64 = outs.iter().map(|o| o.hierarchy.processor_refs).sum();
         let shard_probes: u64 = outs.iter().map(|o| shard_probe_total(&o.results)).sum();
@@ -858,23 +931,26 @@ fn shard_probe_total(results: &[(ProbeStats, ProbeStats)]) -> u64 {
 ///
 /// The unit of work is one cold-start trace segment of one *trace group*:
 /// the specs that replay the same trace and seed, as every geometry of a
-/// Table 4 or Figures 3–6 sweep does. A worker generates the segment once
-/// and replays it through each spec of the group on its own fresh
-/// hierarchy, so generation is paid once per segment rather than once per
-/// spec, and even a single multi-segment trace fans out across every
-/// worker (the paper's methodology flushes the hierarchy between
-/// segments, which makes them independent). A group whose trace has fewer
-/// segments than twice the worker count is also split into contiguous
-/// slices of specs, so short traces keep every worker busy. Warm traces
-/// (no flushes) carry cache state across segments and run as one shard
-/// per spec, streamed from the generator. Per-shard counters merge
+/// Table 4 or Figures 3–6 sweep does. A worker generates the segment once,
+/// runs it through each distinct L1 of the group once, and replays that
+/// L1's misses through the L2 half of every spec sharing it (the L2 sees
+/// only L1 traffic, so this is exact). Generation is paid once per segment
+/// and the L1 once per distinct L1 rather than once per spec (Table 4's
+/// 24 specs have 3 L1s), and even a single multi-segment trace fans out
+/// across every worker (the paper's methodology flushes the hierarchy
+/// between segments, which makes them independent). A group whose trace
+/// has fewer segments than twice the worker count is also split into
+/// contiguous slices of specs, so short traces keep every worker busy.
+/// Warm traces (no flushes) carry cache state across segments and run as
+/// one shard per spec, streamed from the generator. Per-shard counters merge
 /// exactly — results are bit-identical to running each spec serially
 /// through [`simulate`], whatever the worker count.
 ///
 /// Memory: each worker holds at most one generated segment, 16 bytes per
 /// event — 160 KB for 10,000-reference segments, 5.6 MB for the paper's
-/// 350,000-reference ones. Single-spec groups and warm specs buffer
-/// nothing.
+/// 350,000-reference ones — plus that segment's misses through one L1, 32
+/// bytes per miss (the paper's L1s miss on 5–12% of references).
+/// Single-spec groups and warm specs buffer nothing.
 ///
 /// Worker count is `min(available_parallelism, shard count)`; set
 /// `SETA_THREADS` to pin it (e.g. `SETA_THREADS=1` for a reproducible
@@ -958,17 +1034,17 @@ fn simulate_sharded<T: SweepTracer>(
     }
 
     // One worker: drains the shared queue, folding each shard's per-spec
-    // outcomes into its own per-spec totals as it goes, and reuses one
-    // segment buffer across shards.
+    // outcomes into its own per-spec totals as it goes, and reuses its
+    // scratch buffers across shards.
     let next = AtomicUsize::new(0);
     let drain = |track: u32| -> Vec<Option<ShardOutcome>> {
         let mut worker = tracer.worker_start(track);
-        let mut buf = Vec::new();
+        let mut scratch = ShardScratch::default();
         let mut totals: Vec<Option<ShardOutcome>> = specs.iter().map(|_| None).collect();
         while let Some(shard) = shards.get(next.fetch_add(1, Ordering::Relaxed)) {
             tracer.shard_begin(&mut worker, shard);
-            let outs = shard.run(specs, &mut buf);
-            tracer.shard_end(&mut worker, &outs);
+            let (outs, l1_passes) = shard.run(specs, &mut scratch);
+            tracer.shard_end(&mut worker, &outs, l1_passes);
             debug_assert_eq!(shard.specs.len(), outs.len(), "one outcome per spec");
             for (&spec, out) in shard.specs.iter().zip(outs) {
                 fold(&mut totals[spec], out);
@@ -1435,8 +1511,10 @@ mod tests {
 
     #[test]
     fn buffered_events_are_sixteen_bytes() {
-        // The documented memory cost of a shared segment buffer.
+        // The documented memory cost of a shared segment buffer and of
+        // one L1 pass over it.
         assert_eq!(std::mem::size_of::<TraceEvent>(), 16);
+        assert_eq!(std::mem::size_of::<FilteredEvent>(), 32);
     }
 
     #[test]
@@ -1465,6 +1543,9 @@ mod tests {
             );
             let shard_spans: Vec<_> = trace.with_cat("shard").collect();
             assert_eq!(shard_spans.len(), 4, "one span per cold segment");
+            assert!(shard_spans
+                .iter()
+                .all(|s| s.counter("l1_passes") == Some(1)));
             // Shard counter sums reproduce the aggregate statistics.
             let refs: u64 = shard_spans.iter().filter_map(|s| s.counter("refs")).sum();
             assert_eq!(refs, traced[0].hierarchy.processor_refs);
@@ -1483,6 +1564,25 @@ mod tests {
             assert_eq!(workers, threads.min(4), "threads={threads}");
             assert!(trace.with_cat("queue-wait").count() >= workers);
         }
+    }
+
+    #[test]
+    fn shared_trace_group_filters_each_distinct_l1_once_per_shard() {
+        let mut specs: Vec<RunSpec> = [2u32, 4, 8].map(|a| multiseg_spec(3, a, 41)).into();
+        for a in [4u32, 16] {
+            let mut spec = multiseg_spec(3, a, 41);
+            spec.l1 = CacheConfig::direct_mapped(16 * 1024, 16).unwrap();
+            specs.push(spec);
+        }
+        let (outcomes, trace) = simulate_many_traced_with_threads(&specs, 1);
+        for (spec, out) in specs.iter().zip(&outcomes) {
+            assert_eq!(fingerprint(out), fingerprint(&serial(spec)));
+        }
+        let passes: Vec<_> = trace
+            .with_cat("shard")
+            .map(|s| s.counter("l1_passes"))
+            .collect();
+        assert_eq!(passes, vec![Some(2); 3], "two L1s, three segments");
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //!
 //! * `Cache::access` (every L1 reference and every L2 request);
 //! * `TwoLevel::run` with no observer over a cold trace;
+//! * the sweep's filtered path: `filter_l1` into a reserved buffer, then
+//!   `L2Half::replay` of that buffer with no observer;
 //! * `ConcurrentCache::get` / `insert`, inside the stripe lock.
 //!
 //! `simulate` allocates its outcome and scorer once per run, so its count
@@ -15,7 +17,7 @@
 //! The file holds one test so nothing else runs in the process while it
 //! counts.
 
-use seta::cache::{Cache, CacheConfig, TwoLevel};
+use seta::cache::{filter_l1, Cache, CacheConfig, L2Half, Policy, TwoLevel, TwoLevelStats};
 use seta::core::lookup::Mru;
 use seta::core::StrategyKind;
 use seta::serve::ConcurrentCache;
@@ -128,6 +130,38 @@ fn hot_paths_do_not_allocate_per_access() {
         0,
         "TwoLevel::run over {} events allocated {n} times",
         events.len()
+    );
+
+    let mut l1_cache = Cache::new(l1);
+    let mut l1_side = TwoLevelStats::default();
+    let mut filtered = Vec::with_capacity(events.len());
+    let (n, ()) = allocations(|| {
+        filter_l1(
+            &mut l1_cache,
+            events.iter().copied(),
+            &mut l1_side,
+            &mut filtered,
+        )
+    });
+    assert_eq!(l1_side.processor_refs, h.stats().processor_refs);
+    assert_eq!(
+        n,
+        0,
+        "filter_l1 over {} events allocated {n} times",
+        events.len()
+    );
+    let mut half = L2Half::new(l1, l2, Policy::Lru, 0).unwrap();
+    if let Some(spec) = strategies.iter().find_map(|s| s.lane_spec(16)) {
+        assert!(half.enable_partial_lanes(spec));
+    }
+    let mut l2_side = TwoLevelStats::default();
+    let (n, ()) = allocations(|| half.replay(&filtered, &mut l2_side, &mut ()));
+    assert_eq!(l2_side.l2_requests(), h.stats().l2_requests());
+    assert_eq!(
+        n,
+        0,
+        "L2Half::replay of {} filtered events allocated {n} times",
+        filtered.len()
     );
 
     let shared = ConcurrentCache::new(l2, StrategyKind::Mru(Mru::full()), 16);

@@ -75,15 +75,17 @@ fn arbitrary_spec() -> impl Strategy<Value = RunSpec> {
 }
 
 /// A sweep whose specs mostly share one trace: 2–5 cold specs on one
-/// (trace, seed) over distinct geometries, plus one cold spec on another
-/// seed and one warm spec, all in random order.
+/// (trace, seed) over distinct geometries, a twin of the first with the
+/// same L1 and another L2 associativity (so one L1 pass always feeds two
+/// L2s), plus one cold spec on another seed and one warm spec, all in
+/// random order.
 fn shared_trace_sweep() -> impl Strategy<Value = Vec<RunSpec>> {
     (
         (1usize..=4, 100u64..400, any::<u64>()),
-        (2usize..=5, 0usize..5, any::<u64>()),
+        (2usize..=5, 0usize..5, any::<u64>(), 1usize..5),
     )
         .prop_map(
-            |((segments, refs_per_segment, seed), (sharing, first_shape, order))| {
+            |((segments, refs_per_segment, seed), (sharing, first_shape, order, twin_step))| {
                 let spec = |shape: usize, seed: u64, cold: bool| {
                     let (l1, l2) = geometry(shape % 5);
                     RunSpec {
@@ -97,6 +99,19 @@ fn shared_trace_sweep() -> impl Strategy<Value = Vec<RunSpec>> {
                 let mut specs: Vec<RunSpec> = (0..sharing)
                     .map(|i| spec(first_shape + i, seed, true))
                     .collect();
+                let mut twin = specs[0].clone();
+                let assocs = [1u32, 2, 4, 8, 16];
+                let at = assocs
+                    .iter()
+                    .position(|&a| a == twin.l2.associativity())
+                    .expect("every shape's L2 associativity is listed");
+                twin.l2 = CacheConfig::new(
+                    twin.l2.size_bytes(),
+                    twin.l2.block_size(),
+                    assocs[(at + twin_step) % assocs.len()],
+                )
+                .expect("valid L2");
+                specs.push(twin);
                 specs.push(spec(first_shape, seed.wrapping_add(1), true));
                 specs.push(spec(first_shape + 1, seed, false));
                 // Fisher–Yates driven by a splitmix64 stream from `order`.
