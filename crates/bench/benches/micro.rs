@@ -1,93 +1,15 @@
-//! Micro-benchmarks for the building blocks: lookup strategies, tag
-//! transforms, the trace generator, and raw hierarchy throughput.
+//! Micro-benchmarks for the building blocks: tag transforms, the trace
+//! generator, raw hierarchy throughput and the alternative cache
+//! organizations. Per-lookup cost of each strategy is timed by the
+//! `core.lookup.*` layers of the standalone benchmark in `perfbench/`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use seta_cache::{CacheConfig, HashRehashCache, MattsonAnalyzer, MultiLevel, SwapTwoWay, TwoLevel};
-use seta_core::lookup::{Mru, Naive, PartialCompare, StrategyKind, Traditional, TransformKind};
 use seta_core::transform::{Improved, TagTransform, XorFold};
-use seta_core::SetView;
 use seta_trace::gen::{AtumLike, AtumLikeConfig, Multiprogram, MultiprogramConfig};
 use std::hint::black_box;
-
-/// One random 8-way set and its probe tag: the storage a [`SetView`]
-/// borrows.
-struct RandomSet {
-    tags: Vec<u64>,
-    valid: Vec<bool>,
-    order: Vec<u8>,
-    probe: u64,
-}
-
-impl RandomSet {
-    fn view(&self) -> SetView<'_> {
-        SetView::from_parts(&self.tags, &self.valid, &self.order)
-    }
-}
-
-/// A batch of random 8-way sets and probe tags.
-fn random_sets(n: usize, seed: u64) -> Vec<RandomSet> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| {
-            let tags: Vec<u64> = (0..8).map(|_| rng.gen::<u64>() >> 16).collect();
-            let valid: Vec<bool> = (0..8).map(|_| rng.gen_bool(0.9)).collect();
-            let mut order: Vec<u8> = (0..8).collect();
-            for i in (1..8usize).rev() {
-                order.swap(i, rng.gen_range(0..=i));
-            }
-            let probe = if rng.gen_bool(0.7) {
-                tags[rng.gen_range(0..8)]
-            } else {
-                rng.gen::<u64>() >> 16
-            };
-            RandomSet {
-                tags,
-                valid,
-                order,
-                probe,
-            }
-        })
-        .collect()
-}
-
-fn bench_lookup_strategies(c: &mut Criterion) {
-    let sets = random_sets(1024, 7);
-    let views: Vec<(SetView<'_>, u64)> = sets.iter().map(|s| (s.view(), s.probe)).collect();
-    let strategies = [
-        ("traditional", StrategyKind::Traditional(Traditional)),
-        ("naive", StrategyKind::Naive(Naive)),
-        ("mru_full", StrategyKind::Mru(Mru::full())),
-        ("mru_list2", StrategyKind::Mru(Mru::truncated(2))),
-        (
-            "partial_s1_improved",
-            StrategyKind::Partial(PartialCompare::new(16, 1, TransformKind::Improved)),
-        ),
-        (
-            "partial_s2_improved",
-            StrategyKind::Partial(PartialCompare::new(16, 2, TransformKind::Improved)),
-        ),
-        (
-            "partial_s1_none",
-            StrategyKind::Partial(PartialCompare::new(16, 1, TransformKind::None)),
-        ),
-    ];
-    let mut g = c.benchmark_group("lookup");
-    g.throughput(Throughput::Elements(views.len() as u64));
-    for (name, strategy) in &strategies {
-        g.bench_with_input(BenchmarkId::from_parameter(name), strategy, |b, s| {
-            b.iter(|| {
-                let mut probes = 0u64;
-                for (view, tag) in &views {
-                    probes += s.lookup(view, *tag).probes as u64;
-                }
-                black_box(probes)
-            })
-        });
-    }
-    g.finish();
-}
 
 fn bench_transforms(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(3);
@@ -228,7 +150,6 @@ fn bench_multilevel_throughput(c: &mut Criterion) {
 
 criterion_group!(
     micro,
-    bench_lookup_strategies,
     bench_transforms,
     bench_trace_generator,
     bench_hierarchy_throughput,

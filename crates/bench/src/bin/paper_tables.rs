@@ -10,8 +10,7 @@
 //!              sweep (span-traced associativity sweep; --trace-out/--flame/--report/--threads)
 //!              diff a b (numeric artifact diff; exit 1 on probe divergence;
 //!                        --html F renders the deltas as a colored table)
-//!              report (self-contained HTML dashboard; --out report.html,
-//!                      --bench-dir for the BENCH_<n>.json history)
+//!              report (self-contained HTML dashboard; --out report.html)
 //!              bench-serve (concurrent-cache scaling: replay a trace through
 //!                           seta-serve at each --threads count; p50/p99 and
 //!                           req/s per count, JSON artifact via --out,
@@ -71,7 +70,6 @@ struct Options {
     diff_paths: Vec<String>,
     out: Option<String>,
     html: Option<String>,
-    bench_dir: String,
     serve: Option<String>,
     serve_linger: u64,
     thread_list: Vec<usize>,
@@ -108,7 +106,6 @@ fn parse_args() -> Result<Options, String> {
         diff_paths: Vec::new(),
         out: None,
         html: None,
-        bench_dir: ".".into(),
         serve: None,
         serve_linger: 0,
         thread_list: Vec::new(),
@@ -165,9 +162,6 @@ fn parse_args() -> Result<Options, String> {
             }
             "--html" => {
                 opts.html = Some(args.next().ok_or("--html needs a path")?);
-            }
-            "--bench-dir" => {
-                opts.bench_dir = args.next().ok_or("--bench-dir needs a path")?;
             }
             "--threads" => {
                 let v = args.next().ok_or("--threads needs a value")?;
@@ -288,8 +282,8 @@ fn usage() -> String {
      diff:       paper_tables diff a.jsonl b.jsonl — numeric artifact diff\n\
      \x20        (exit 1 when probe accounting diverges; --html F for an HTML table)\n\
      report:     one self-contained HTML dashboard (time series, explain,\n\
-     \x20        sweep utilization, BENCH_<n>.json trajectory)\n\
-     \x20        [--out report.html] [--bench-dir DIR] [--threads N]\n\
+     \x20        sweep outcomes and utilization, contention)\n\
+     \x20        [--out report.html] [--threads N]\n\
      bench-serve: concurrent-cache scaling benchmark over a Dinero trace\n\
      \x20        [--threads 1,2,4] [--trace F] [--repeat N] [--strategy S]\n\
      \x20        [--stripes N] [--sample-every N] [--out artifact.json]\n\
@@ -569,8 +563,8 @@ fn run_sweep(p: &ExperimentParams, opts: &Options) -> Result<(), String> {
 /// `paper_tables report`: one self-contained HTML dashboard over a fresh
 /// instrumented run of the figures hierarchy. Covers the per-strategy
 /// time series, the explain attribution, the sweep's outcomes and worker
-/// utilization, and the cross-run `BENCH_<n>.json` trajectory from
-/// `--bench-dir` — each section deep-linking the artifacts it summarizes.
+/// utilization, and the served cache's contention — each section
+/// deep-linking the artifacts it summarizes.
 fn run_report(p: &ExperimentParams, opts: &Options) -> Result<(), String> {
     use seta_obs::report::{sections, HtmlPage};
     use seta_sim::report_html::{explain_section, sweep_outcomes_section, sweep_section};
@@ -651,9 +645,6 @@ fn run_report(p: &ExperimentParams, opts: &Options) -> Result<(), String> {
         contended.push((t, creport));
     }
 
-    // The cross-run benchmark trajectory from the committed baselines.
-    let history = seta_bench::history::load_history(std::path::Path::new(&opts.bench_dir))?;
-
     let mut page = HtmlPage::new("seta report");
     page.subtitle(format!(
         "{source}, seed {}, scale {}, {}-way L2 focus",
@@ -671,7 +662,6 @@ fn run_report(p: &ExperimentParams, opts: &Options) -> Result<(), String> {
         &contended,
         opts.contention_out.as_deref(),
     ));
-    page.push(seta_bench::history::history_section(&history, 0.10));
     std::fs::write(out_path, page.render()).map_err(|e| format!("write {out_path}: {e}"))?;
     eprintln!("report -> {out_path}");
     Ok(())
@@ -865,8 +855,9 @@ fn run_bench_serve(opts: &Options) -> Result<(), String> {
         return Err(format!("{trace_path}: no trace events"));
     }
 
-    // The bench guard's fixed geometry, with the L2 associativity
-    // overridable so the strategies have something to disagree about.
+    // The geometry `tests/probe_golden.rs` pins on this trace, with the
+    // L2 associativity overridable so the strategies have something to
+    // disagree about.
     let l1 = CacheConfig::direct_mapped(4 * 1024, 16).map_err(|e| e.to_string())?;
     let l2 = CacheConfig::new(64 * 1024, 32, opts.assoc).map_err(|e| e.to_string())?;
     let kind = serve_strategy(&opts.strategy, opts.assoc)?;

@@ -1,30 +1,25 @@
-//! Benchmark and regeneration harness for the `seta` reproduction.
+//! Regeneration harness for the `seta` reproduction.
 //!
 //! This crate hosts:
 //!
 //! * the `paper_tables` binary, which regenerates any table or figure of
 //!   the paper (`cargo run --release -p seta-bench --bin paper_tables -- all`);
-//! * the `bench_guard` binary, the continuous-benchmarking regression gate
-//!   (see [`guard`]): deterministic median-of-k measurements written as
-//!   `BENCH_<n>.json`, checked against the committed baseline in CI;
-//! * the cross-run history loader and trajectory report (see [`history`]):
-//!   every committed `BENCH_<n>.json` rendered as a self-contained HTML
-//!   page with regression markers;
-//! * Criterion benches (`benches/tables.rs`, `benches/figures.rs`) that
-//!   time each experiment end-to-end on a scaled trace;
-//! * micro-benchmarks (`benches/micro.rs`) for the lookup strategies, tag
-//!   transforms, trace generator, and cache hierarchy throughput, and
-//!   hot-path benches (`benches/hotpath.rs`) for everything `bench_guard`
-//!   gates.
+//! * the `trace_tool` binary, which generates, converts, inspects and
+//!   simulates trace files;
+//! * Criterion benches (`benches/tables.rs`, `benches/figures.rs`,
+//!   `benches/ablations.rs`) that time each experiment end-to-end on a
+//!   scaled trace;
+//! * micro-benchmarks (`benches/micro.rs`) for the tag transforms, trace
+//!   generator, cache hierarchy throughput and the alternative cache
+//!   organizations.
 //!
-//! The library portion exposes the guard machinery and small helpers
-//! shared by the benches.
+//! Per-lookup and end-to-end performance is measured by the standalone
+//! benchmark in `perfbench/` (`python3 perfbench/run.py`); exact probe
+//! counts are pinned by the root crate's `probe_golden` test. The library
+//! portion holds the small helpers shared by the benches.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod guard;
-pub mod history;
 
 use seta_sim::experiments::ExperimentParams;
 

@@ -1,8 +1,7 @@
 //! CLI contract tests for the HTML report paths: `paper_tables report`,
-//! `paper_tables diff --html`, `trace_tool sim --report-html`, and
-//! `bench_guard --history-html`. Every emitted page must be a single
-//! self-contained document ([`validate_self_contained`]) covering its
-//! advertised sections.
+//! `paper_tables diff --html` and `trace_tool sim --report-html`. Every
+//! emitted page must be a single self-contained document
+//! ([`validate_self_contained`]) covering its advertised sections.
 
 use seta_obs::report::validate_self_contained;
 use std::path::PathBuf;
@@ -22,21 +21,10 @@ fn trace_tool(args: &[&str]) -> Output {
         .expect("spawn trace_tool")
 }
 
-fn bench_guard(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_bench_guard"))
-        .args(args)
-        .output()
-        .expect("spawn bench_guard")
-}
-
 fn tmp(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!("seta-report-cli-{}-{name}", std::process::id()));
     p
-}
-
-fn fixture(name: &str) -> String {
-    format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"))
 }
 
 fn tiny_trace() -> &'static str {
@@ -58,8 +46,6 @@ fn paper_tables_report_emits_a_full_dashboard() {
         "2000",
         "--threads",
         "2",
-        "--bench-dir",
-        &fixture("history"),
         "--out",
         out_path.to_str().unwrap(),
     ]);
@@ -70,39 +56,17 @@ fn paper_tables_report_emits_a_full_dashboard() {
     );
     let html = read_validated(&out_path);
     // The acceptance contract: time series, explain attribution, sweep
-    // utilization, and the BENCH trajectory with both baselines plotted.
+    // outcomes and utilization, and the served cache's contention.
     for needle in [
         "Windowed time series",
         "Explain: probe attribution",
         "Sweep worker utilization",
         "Sweep outcomes",
-        "Benchmark trajectory",
-        "BENCH_1.json",
-        "BENCH_2.json",
+        "Contention observatory",
     ] {
         assert!(html.contains(needle), "missing section {needle:?}");
     }
     let _ = std::fs::remove_file(&out_path);
-}
-
-#[test]
-fn paper_tables_report_rejects_bad_history_schema() {
-    let out_path = tmp("dashboard-bad.html");
-    let out = paper_tables(&[
-        "report",
-        "--scale",
-        "4000",
-        "--bench-dir",
-        &fixture("history_bad"),
-        "--out",
-        out_path.to_str().unwrap(),
-    ]);
-    assert!(!out.status.success());
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert!(
-        err.contains("unsupported BENCH schema version 99"),
-        "stderr: {err}"
-    );
 }
 
 #[test]
@@ -135,69 +99,47 @@ fn trace_tool_sim_report_html_covers_the_run() {
 }
 
 #[test]
-fn bench_guard_history_html_renders_without_measuring() {
-    let out_path = tmp("history.html");
-    let out = bench_guard(&[
-        "--no-write",
-        "--dir",
-        &fixture("history"),
-        "--history-html",
-        out_path.to_str().unwrap(),
-    ]);
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let html = read_validated(&out_path);
-    assert!(html.contains("Benchmark trajectory"));
-    assert!(html.contains("BENCH_1.json") && html.contains("BENCH_2.json"));
-    // The fixtures encode a +25% wall regression and a probe change.
-    assert!(html.contains("Regression events"), "markers rendered");
-    let _ = std::fs::remove_file(&out_path);
-}
-
-#[test]
-fn bench_guard_history_html_fails_loudly_on_bad_schema() {
-    let out_path = tmp("history-bad.html");
-    let out = bench_guard(&[
-        "--no-write",
-        "--dir",
-        &fixture("history_bad"),
-        "--history-html",
-        out_path.to_str().unwrap(),
-    ]);
-    assert!(!out.status.success());
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert!(
-        err.contains("unsupported BENCH schema version 99") && err.contains("BENCH_1.json"),
-        "stderr: {err}"
-    );
-    assert!(!out_path.exists(), "no page written on error");
-}
-
-#[test]
 fn paper_tables_diff_html_renders_colored_deltas() {
+    // Two metrics artifacts of the bundled trace at different L2
+    // associativities: their probe counters and miss ratios differ.
+    let runs = [("2", tmp("diff-a2.jsonl")), ("8", tmp("diff-a8.jsonl"))];
+    for (assoc, metrics) in &runs {
+        let out = trace_tool(&[
+            "sim",
+            tiny_trace(),
+            "--assoc",
+            assoc,
+            "--metrics",
+            metrics.to_str().unwrap(),
+        ]);
+        assert!(
+            out.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
     let out_path = tmp("diff.html");
     let out = paper_tables(&[
         "diff",
-        &fixture("history/BENCH_1.json"),
-        &fixture("history/BENCH_2.json"),
+        runs[0].1.to_str().unwrap(),
+        runs[1].1.to_str().unwrap(),
         "--html",
         out_path.to_str().unwrap(),
     ]);
-    // The fixtures differ in wall time and probes but `diff` exits by
-    // probe-divergence of *metrics-style* artifacts; either way the page
-    // must be written and well-formed.
+    // `diff` exits by probe divergence, which these artifacts have; either
+    // way the page must be written and well-formed.
     let html = read_validated(&out_path);
     assert!(html.contains("Artifact diff"));
-    assert!(html.contains("wall_ns_per_access"), "delta rows present");
+    assert!(html.contains("l2_local_miss_ratio"), "delta rows present");
     assert!(
         html.contains("class=\"pos\"") || html.contains("class=\"neg\""),
         "colored cells present"
     );
     drop(out);
     let _ = std::fs::remove_file(&out_path);
+    for (_, metrics) in &runs {
+        let _ = std::fs::remove_file(metrics);
+    }
 }
 
 #[test]

@@ -12,7 +12,6 @@
 //! SETA_BLESS=1 cargo test -p seta-bench --test report_golden
 //! ```
 
-use seta_bench::history::{history_section, load_history, HistoryEntry};
 use seta_obs::report::sections::{timeseries_section, windows_from_jsonl};
 use seta_obs::report::{validate_self_contained, HtmlPage};
 use seta_obs::{SpanBuffer, SpanClock, SpanTrace};
@@ -50,19 +49,6 @@ fn timeseries_page() -> String {
     let rows = windows_from_jsonl(&text).expect("fixture parses");
     let mut page = HtmlPage::new("golden: windowed time series");
     page.push(timeseries_section(&rows, Some("windows.jsonl")));
-    page.render()
-}
-
-fn history_html_page() -> String {
-    let mut entries: Vec<HistoryEntry> =
-        load_history(&fixture("history")).expect("fixture history loads");
-    // Strip the machine-dependent directory prefix so the deep links (and
-    // therefore the golden bytes) are stable across checkouts.
-    for e in &mut entries {
-        e.path = PathBuf::from(format!("BENCH_{}.json", e.n));
-    }
-    let mut page = HtmlPage::new("golden: benchmark trajectory");
-    page.push(history_section(&entries, 0.10));
     page.render()
 }
 
@@ -109,33 +95,8 @@ fn timeseries_golden_is_byte_stable() {
 }
 
 #[test]
-fn history_golden_is_byte_stable() {
-    let html = history_html_page();
-    assert_eq!(html, history_html_page(), "two renders differ");
-    // The fixture pair encodes one wall regression (+25% on lookup/mru)
-    // and one probe change (lookup/naive): both must be marked.
-    assert!(html.contains("Regression events"), "regression table");
-    assert!(
-        html.contains("probes changed 200000 -&gt; 200256"),
-        "probe marker"
-    );
-    assert_golden("history.golden.html", &html);
-}
-
-#[test]
 fn sweep_golden_is_byte_stable() {
     let html = sweep_page();
     assert_eq!(html, sweep_page(), "two renders differ");
     assert_golden("sweep.golden.html", &html);
-}
-
-#[test]
-fn bad_schema_fixture_is_rejected_with_file_and_version() {
-    let err = load_history(&fixture("history_bad")).expect_err("schema 99 must be rejected");
-    assert!(err.contains("BENCH_1.json"), "names the file: {err}");
-    assert!(err.contains("99"), "names the version: {err}");
-    assert!(
-        !err.contains("missing field"),
-        "not a raw serde error: {err}"
-    );
 }

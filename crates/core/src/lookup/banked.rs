@@ -130,8 +130,8 @@ impl Banked {
 
     /// Searches `view` for `tag`, `b` ways per probe in the scan order.
     //
-    // `(total + b - 1) / b` beats `div_ceil` here: the bench guard
-    // measures ~5 ns/access more for the div_ceil form on the miss path
+    // `(total + b - 1) / b` beats `div_ceil` here: the div_ceil form
+    // measured ~5 ns/access more per lookup on the miss path
     // (its extra remainder + branch defeats the single-division codegen).
     #[allow(clippy::manual_div_ceil)]
     #[inline]

@@ -3,8 +3,8 @@
 //! "Limited Associativity Makes Concurrent Software Caches a Breeze"
 //! argues that set-local operations behind striped locks should keep
 //! contention near zero — but the serve benchmarks previously reported
-//! only end-to-end p50/p99, so a scaling collapse flagged by the bench
-//! guard could not be *attributed* (lock wait vs in-critical-section
+//! only end-to-end p50/p99, so a scaling collapse could not be
+//! *attributed* (lock wait vs in-critical-section
 //! probe work vs measurement overhead). This module holds the data model
 //! that instrumentation threads through the stack:
 //!

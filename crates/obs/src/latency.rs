@@ -20,7 +20,7 @@
 //!   regardless of what the reservoir evicts.
 
 /// Default retention cap: plenty for exact percentiles at bench scale
-/// (the guard's serve replays retain a few thousand samples) while
+/// (a serve replay of the bundled trace retains a few thousand samples) while
 /// bounding a pathological `--sample-every 1 --repeat 100000` run.
 pub const DEFAULT_MAX_SAMPLES: usize = 1 << 16;
 

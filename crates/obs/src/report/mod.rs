@@ -1,8 +1,8 @@
 //! Self-contained HTML report rendering.
 //!
 //! Every artifact the workspace emits — metrics JSONL, explain reports,
-//! windowed time series, sweep utilization, span traces, `BENCH_<n>.json`
-//! baselines — is machine-readable but reviewer-hostile. This module
+//! windowed time series, sweep utilization, span traces, contention
+//! rows — is machine-readable but reviewer-hostile. This module
 //! family turns them into a single static HTML page that renders offline:
 //! no JavaScript, no external stylesheets or fonts, no network fetches.
 //! Charts are hand-rolled inline SVG ([`svg`]); tables and prose are

@@ -78,19 +78,8 @@ impl Series {
     }
 }
 
-/// A highlighted point (e.g. a regression) with a tooltip label.
-#[derive(Debug, Clone)]
-pub struct Marker {
-    /// X position in data coordinates.
-    pub x: f64,
-    /// Y position in data coordinates.
-    pub y: f64,
-    /// Tooltip text (escaped at render).
-    pub label: String,
-}
-
-/// A multi-series line chart with axes, ticks, legend, optional vertical
-/// reference lines, and optional markers.
+/// A multi-series line chart with axes, ticks, legend, and optional
+/// vertical reference lines.
 #[derive(Debug, Clone)]
 pub struct LineChart {
     /// Chart title (escaped at render).
@@ -101,8 +90,6 @@ pub struct LineChart {
     pub y_label: String,
     /// The series, colored in input order.
     pub series: Vec<Series>,
-    /// Highlighted points with tooltips (drawn in red).
-    pub markers: Vec<Marker>,
     /// Vertical dashed reference lines at data-x positions (e.g. trace
     /// segment boundaries), with a small label.
     pub vlines: Vec<(f64, String)>,
@@ -118,7 +105,6 @@ impl LineChart {
             x_label: x_label.to_owned(),
             y_label: y_label.to_owned(),
             series: Vec::new(),
-            markers: Vec::new(),
             vlines: Vec::new(),
             y_zero: false,
         }
@@ -134,10 +120,6 @@ impl LineChart {
                     ys.push(y);
                 }
             }
-        }
-        for m in &self.markers {
-            xs.push(m.x);
-            ys.push(m.y);
         }
         let fold = |v: &[f64]| -> (f64, f64) {
             v.iter()
@@ -284,16 +266,6 @@ impl LineChart {
                     ));
                 }
             }
-        }
-        // Markers on top of everything.
-        for m in &self.markers {
-            s.push_str(&format!(
-                "<circle cx=\"{}\" cy=\"{}\" r=\"4.5\" fill=\"none\" stroke=\"#c00\" \
-                 stroke-width=\"2\"><title>{}</title></circle>\n",
-                fmt_coord(sx(m.x)),
-                fmt_coord(sy(m.y)),
-                escape_html(&m.label)
-            ));
         }
         // Legend, top-right inside the frame.
         for (i, series) in self.series.iter().enumerate() {
@@ -671,11 +643,6 @@ mod tests {
             "s<1>",
             vec![(0.0, 0.1), (1.0, 0.4), (2.0, 0.2)],
         ));
-        c.markers.push(Marker {
-            x: 1.0,
-            y: 0.4,
-            label: "regression \"here\"".into(),
-        });
         c.vlines.push((1.5, "segment 2".into()));
         let svg = c.svg();
         assert!(!svg.contains("s<1>"), "unescaped series name");

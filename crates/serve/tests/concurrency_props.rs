@@ -32,7 +32,7 @@ fn tiny_events() -> Vec<TraceEvent> {
         .expect("bundled trace parses")
 }
 
-fn guard_geometry() -> (CacheConfig, CacheConfig) {
+fn tiny_geometry() -> (CacheConfig, CacheConfig) {
     (
         CacheConfig::direct_mapped(4 * 1024, 16).unwrap(),
         CacheConfig::new(64 * 1024, 32, 4).unwrap(),
@@ -155,7 +155,7 @@ proptest! {
         addrs in proptest::collection::vec((0u64..0x8000, any::<bool>()), 50..400),
         flush_at in 0usize..500,
     ) {
-        let (l1, l2) = guard_geometry();
+        let (l1, l2) = tiny_geometry();
         let mut events: Vec<TraceEvent> = addrs
             .iter()
             .map(|&(a, w)| {

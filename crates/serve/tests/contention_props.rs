@@ -30,15 +30,15 @@ fn tiny_events() -> Vec<TraceEvent> {
         .expect("bundled trace parses")
 }
 
-fn guard_geometry() -> (CacheConfig, CacheConfig) {
+fn tiny_geometry() -> (CacheConfig, CacheConfig) {
     (
         CacheConfig::direct_mapped(4 * 1024, 16).unwrap(),
         CacheConfig::new(64 * 1024, 32, 4).unwrap(),
     )
 }
 
-fn guard_spec() -> LoadSpec {
-    let (l1, l2) = guard_geometry();
+fn tiny_spec() -> LoadSpec {
+    let (l1, l2) = tiny_geometry();
     LoadSpec::new(l1, l2, StrategyKind::Mru(Mru::full()))
 }
 
@@ -63,7 +63,7 @@ fn four_thread_tiny_replay_matches_uninstrumented_totals() {
     // differ in it — so full bit-identity is asserted where it is
     // deterministic: at 1 thread and on disjoint-set workloads below.)
     let events = repeated_tiny(4);
-    let spec = guard_spec();
+    let spec = tiny_spec();
     let plain = replay(&events, 4, &spec);
     let (observed, report) = replay_contended(&events, 4, &spec);
 
@@ -116,12 +116,12 @@ fn four_thread_disjoint_chunks_are_bit_identical_to_uninstrumented() {
 
 #[test]
 fn one_thread_contended_replay_matches_sequential_simulate() {
-    let (l1, l2) = guard_geometry();
+    let (l1, l2) = tiny_geometry();
     let events = tiny_events();
     let strategies = [StrategyKind::Mru(Mru::full())];
     let sequential = simulate(l1, l2, events.iter().cloned(), &strategies);
 
-    let (served, report) = replay_contended(&events, 1, &guard_spec());
+    let (served, report) = replay_contended(&events, 1, &tiny_spec());
     assert!(served.conserves(), "{served:?}");
     assert_eq!(served.l2_stats, sequential.l2_stats, "shared-cache stats");
     assert_eq!(served.l1_stats, sequential.l1_stats, "private L1 stats");
@@ -135,7 +135,7 @@ fn one_thread_contended_replay_matches_sequential_simulate() {
 #[test]
 fn stripe_sums_reconcile_at_every_thread_count() {
     let events = repeated_tiny(2);
-    let spec = guard_spec();
+    let spec = tiny_spec();
     for threads in [1usize, 2, 16] {
         let (out, report) = replay_contended(&events, threads, &spec);
         assert!(out.conserves(), "{threads} threads");
@@ -163,7 +163,7 @@ fn stripe_sums_reconcile_at_every_thread_count() {
 #[test]
 fn wait_plus_service_nests_inside_every_sampled_latency() {
     let events = repeated_tiny(2);
-    let mut spec = guard_spec();
+    let mut spec = tiny_spec();
     spec.sample_every = 8;
     for threads in [1usize, 4] {
         let (_, report) = replay_contended(&events, threads, &spec);
@@ -183,7 +183,7 @@ fn wait_plus_service_nests_inside_every_sampled_latency() {
 #[test]
 fn contended_trace_carries_phase_spans() {
     let events = repeated_tiny(2);
-    let mut spec = guard_spec();
+    let mut spec = tiny_spec();
     spec.sample_every = 16;
     let (out, trace, report) = replay_contended_traced(&events, 3, &spec);
     assert!(out.conserves());
@@ -201,7 +201,7 @@ fn under_striped_cache_attributes_everything_to_one_stripe() {
     // The EXPERIMENTS walkthrough's diagnosis: with --stripes 1 every
     // request serializes behind a single lock, and the report says so.
     let events = repeated_tiny(2);
-    let mut spec = guard_spec();
+    let mut spec = tiny_spec();
     spec.stripes = 1;
     let (out, report) = replay_contended(&events, 4, &spec);
     assert_eq!(report.stripes.len(), 1);
@@ -226,7 +226,7 @@ proptest! {
                 TraceEvent::Ref(if w { TraceRecord::write(a) } else { TraceRecord::read(a) })
             })
             .collect();
-        let spec = guard_spec();
+        let spec = tiny_spec();
         for threads in [1usize, 2, 16] {
             let plain = replay(&events, threads, &spec);
             let (observed, report) = replay_contended(&events, threads, &spec);
