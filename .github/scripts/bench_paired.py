@@ -2,11 +2,10 @@
 """Paired benchmark runs of a base checkout against a changed checkout.
 
     python3 .github/scripts/bench_paired.py --base DIR --change DIR --out DIR
-        [--pairs 5] [--seconds 5]
 
 For every workload that the change's `BENCHMARK.json` declares, runs
-`python3 perfbench/run.py --workload W --seed 1 --seconds S --trace 0` in
-both checkouts `--pairs` times, alternating which side runs first. Each
+`python3 perfbench/run.py --workload W --seed 1 --seconds 5 --trace 0` in
+both checkouts 5 times, alternating which side runs first. Each
 checkout builds into its own target directory under --out, so the two
 builds never share artifacts. Every output is kept under --out, one
 `<workload>-<pair>-<side>.out` file per run.
@@ -25,13 +24,16 @@ import os
 import subprocess
 import sys
 
+PAIRS = 5
+SECONDS = 5
 
-def run_side(checkout, target_dir, workload, seconds, out_path):
+
+def run_side(checkout, target_dir, workload, out_path):
     """Runs the benchmark once in `checkout`; returns its result line."""
     env = dict(os.environ, CARGO_TARGET_DIR=target_dir)
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", "1", "--seconds", str(seconds), "--trace", "0"],
+         "--seed", "1", "--seconds", str(SECONDS), "--trace", "0"],
         cwd=checkout, env=env, stdout=subprocess.PIPE, text=True,
     )
     with open(out_path, "w") as f:
@@ -53,11 +55,7 @@ def main():
     parser.add_argument("--base", required=True, help="base checkout")
     parser.add_argument("--change", required=True, help="changed checkout")
     parser.add_argument("--out", required=True, help="directory for results")
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--seconds", type=int, default=5)
     args = parser.parse_args()
-    if args.pairs < 1:
-        parser.error("--pairs must be positive")
 
     out = os.path.abspath(args.out)
     os.makedirs(out, exist_ok=True)
@@ -71,13 +69,13 @@ def main():
     problems = []
     for workload in (w["name"] for w in declared["workloads"]):
         pairs = []
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             pair = {}
             for side in order:
                 checkout, target = sides[side]
                 path = os.path.join(out, f"{workload}-{i}-{side}.out")
-                result = run_side(checkout, target, workload, args.seconds, path)
+                result = run_side(checkout, target, workload, path)
                 if result["correct"] is not True or result["failed"] > 0:
                     problems.append(f"{path}: correct={result['correct']} "
                                     f"failed={result['failed']}")
