@@ -28,6 +28,12 @@
 //! an L1 over a trace once ([`filter_l1`]) and replay the misses through
 //! every L2 behind it ([`L2Half::replay`]); [`TwoLevel`] runs the same two
 //! halves back to back.
+//!
+//! The [`L2Observer`] is the hierarchy's only instrumentation seam.
+//! Everything else a run reports is a counter of [`TwoLevelStats`] or of
+//! the caches' [`CacheStats`]: L1 hits, for instance, are
+//! `processor_refs − read_ins`, since every L1 miss sends exactly one
+//! read-in.
 
 use crate::block::SetFrames;
 use crate::cache::Cache;
@@ -91,42 +97,6 @@ pub trait L2Observer {
     /// Called once per L2 request, before the L2 is mutated.
     fn on_l2_request(&mut self, req: &L2RequestView<'_>);
 }
-
-/// Lightweight event hook for metrics collection, separate from
-/// [`L2Observer`]: observers get the full pre-access set state for probe
-/// pricing, while a sink only sees cheap post-access outcomes — enough
-/// for counters and rate heartbeats without borrowing set internals.
-///
-/// All methods default to no-ops and the unit sink `()` implements the
-/// trait, so `step(...)` is exactly `step_metered(..., &mut ())`;
-/// monomorphization keeps the un-metered path free of any sink cost.
-pub trait MetricsSink {
-    /// Called once per processor reference, with its L1 outcome.
-    fn on_ref(&mut self, _l1_hit: bool) {}
-
-    /// Called once per L2 request, with its kind and outcome.
-    fn on_l2(&mut self, _kind: L2RequestKind, _hit: bool) {}
-
-    /// Called once per L2 request with set-level detail: the target set
-    /// index, the request kind and outcome, and — for hits — the block's
-    /// pre-access recency position. This is what per-set heatmaps and
-    /// MRU-position histograms consume without needing a full
-    /// [`L2Observer`] borrow of the set's frames.
-    fn on_l2_set(
-        &mut self,
-        _set: u64,
-        _kind: L2RequestKind,
-        _hit: bool,
-        _mru_distance: Option<usize>,
-    ) {
-    }
-
-    /// Called once per flush (segment boundary).
-    fn on_flush(&mut self) {}
-}
-
-/// The do-nothing sink, for un-metered runs.
-impl MetricsSink for () {}
 
 /// The do-nothing observer, for runs that only need miss ratios.
 impl L2Observer for () {
@@ -271,16 +241,15 @@ pub enum FilteredEvent {
 }
 
 /// The L1 half of a hierarchy step: services `record` in the private L1
-/// and, on a miss, returns the L2 traffic it causes. `sink` sees the L1
-/// outcome. Counting processor references is the caller's job.
-pub fn step_l1<M: MetricsSink>(
-    l1: &mut Cache,
-    record: &TraceRecord,
-    sink: &mut M,
-) -> Option<L1Miss> {
+/// and, on a miss, returns the L2 traffic it causes. Counting processor
+/// references is the caller's job.
+///
+/// Inlined into callers in other crates — the simulation and serving
+/// loops — as every generic hierarchy step is.
+#[inline]
+pub fn step_l1(l1: &mut Cache, record: &TraceRecord) -> Option<L1Miss> {
     let set = l1.mapper().set_of(record.addr);
     let r = l1.access(record.addr, record.kind.is_write());
-    sink.on_ref(r.hit);
     if r.hit {
         return None;
     }
@@ -306,7 +275,7 @@ pub fn filter_l1<I>(
         match event {
             TraceEvent::Ref(r) => {
                 stats.processor_refs += 1;
-                if let Some(miss) = step_l1(l1, &r, &mut ()) {
+                if let Some(miss) = step_l1(l1, &r) {
                     out.push(FilteredEvent::Miss(miss));
                 }
             }
@@ -370,34 +339,19 @@ impl L2Half {
     /// The L2 half of a hierarchy step: issues `miss`'s read-in, records
     /// the way it filled as the frame's new hint, then issues the dirty
     /// victim's write-back checked against the frame's *old* hint.
-    pub fn serve<O: L2Observer, M: MetricsSink>(
+    pub fn serve<O: L2Observer>(
         &mut self,
         miss: L1Miss,
         stats: &mut TwoLevelStats,
         observer: &mut O,
-        sink: &mut M,
     ) {
         // Read-in first (per Table 3: "the new block is first obtained via a
         // read-in request, then a write-back is issued").
         let victim_hint = self.hints[miss.frame];
-        let way = self.issue(
-            L2RequestKind::ReadIn,
-            miss.read_addr,
-            None,
-            stats,
-            observer,
-            sink,
-        );
+        let way = self.issue(L2RequestKind::ReadIn, miss.read_addr, None, stats, observer);
         self.hints[miss.frame] = Some(way);
         if let Some(addr) = miss.write_back {
-            self.issue(
-                L2RequestKind::WriteBack,
-                addr,
-                victim_hint,
-                stats,
-                observer,
-                sink,
-            );
+            self.issue(L2RequestKind::WriteBack, addr, victim_hint, stats, observer);
         }
     }
 
@@ -411,7 +365,7 @@ impl L2Half {
     ) {
         for event in events {
             match *event {
-                FilteredEvent::Miss(miss) => self.serve(miss, stats, observer, &mut ()),
+                FilteredEvent::Miss(miss) => self.serve(miss, stats, observer),
                 FilteredEvent::Flush => self.flush(),
             }
         }
@@ -425,14 +379,13 @@ impl L2Half {
 
     /// Issues one L2 request: observes the pre-state, then performs the
     /// access. Returns the way the block occupies afterwards.
-    fn issue<O: L2Observer, M: MetricsSink>(
+    fn issue<O: L2Observer>(
         &mut self,
         kind: L2RequestKind,
         addr: u64,
         hint: Option<u8>,
         stats: &mut TwoLevelStats,
         observer: &mut O,
-        sink: &mut M,
     ) -> u8 {
         let set = self.l2.mapper().set_of(addr);
         let tag = self.l2.mapper().tag_of(addr);
@@ -462,8 +415,6 @@ impl L2Half {
 
         let is_write = kind == L2RequestKind::WriteBack;
         let result = self.l2.access(addr, is_write);
-        sink.on_l2(kind, result.hit);
-        sink.on_l2_set(set, kind, result.hit, mru_distance);
         match kind {
             L2RequestKind::ReadIn => {
                 stats.read_ins += 1;
@@ -602,23 +553,12 @@ impl TwoLevel {
     }
 
     /// Services one processor reference, notifying `observer` of every L2
-    /// request it generates.
-    pub fn step<O: L2Observer>(&mut self, record: &TraceRecord, observer: &mut O) {
-        self.step_metered(record, observer, &mut ());
-    }
-
-    /// [`step`](Self::step) with a [`MetricsSink`] receiving the L1 and
-    /// L2 outcomes: the L1 half ([`step_l1`]), then the L2 half
+    /// request it generates: the L1 half ([`step_l1`]), then the L2 half
     /// ([`L2Half::serve`]) on a miss.
-    pub fn step_metered<O: L2Observer, M: MetricsSink>(
-        &mut self,
-        record: &TraceRecord,
-        observer: &mut O,
-        sink: &mut M,
-    ) {
+    pub fn step<O: L2Observer>(&mut self, record: &TraceRecord, observer: &mut O) {
         self.stats.processor_refs += 1;
-        if let Some(miss) = step_l1(&mut self.l1, record, sink) {
-            self.l2.serve(miss, &mut self.stats, observer, sink);
+        if let Some(miss) = step_l1(&mut self.l1, record) {
+            self.l2.serve(miss, &mut self.stats, observer);
         }
     }
 
@@ -632,22 +572,9 @@ impl TwoLevel {
 
     /// Processes one trace event.
     pub fn process<O: L2Observer>(&mut self, event: &TraceEvent, observer: &mut O) {
-        self.process_metered(event, observer, &mut ());
-    }
-
-    /// [`process`](Self::process) with a [`MetricsSink`].
-    pub fn process_metered<O: L2Observer, M: MetricsSink>(
-        &mut self,
-        event: &TraceEvent,
-        observer: &mut O,
-        sink: &mut M,
-    ) {
         match event {
-            TraceEvent::Ref(r) => self.step_metered(r, observer, sink),
-            TraceEvent::Flush => {
-                self.flush();
-                sink.on_flush();
-            }
+            TraceEvent::Ref(r) => self.step(r, observer),
+            TraceEvent::Flush => self.flush(),
         }
     }
 
@@ -657,19 +584,8 @@ impl TwoLevel {
         I: IntoIterator<Item = TraceEvent>,
         O: L2Observer,
     {
-        self.run_metered(events, observer, &mut ());
-    }
-
-    /// [`run`](Self::run) with a [`MetricsSink`] receiving per-reference,
-    /// per-request and per-flush events alongside the observer.
-    pub fn run_metered<I, O, M>(&mut self, events: I, observer: &mut O, sink: &mut M)
-    where
-        I: IntoIterator<Item = TraceEvent>,
-        O: L2Observer,
-        M: MetricsSink,
-    {
         for e in events {
-            self.process_metered(&e, observer, sink);
+            self.process(&e, observer);
         }
     }
 
@@ -931,114 +847,6 @@ mod tests {
         assert_eq!(s.local_miss_ratio(), 0.0);
         assert_eq!(s.write_back_fraction(), 0.0);
         assert_eq!(s.hint_accuracy(), 0.0);
-    }
-
-    /// Counts sink callbacks for comparison against the stats block.
-    #[derive(Default)]
-    struct CountingSink {
-        refs: u64,
-        l1_hits: u64,
-        read_ins: u64,
-        read_in_hits: u64,
-        write_backs: u64,
-        flushes: u64,
-    }
-
-    impl MetricsSink for CountingSink {
-        fn on_ref(&mut self, l1_hit: bool) {
-            self.refs += 1;
-            if l1_hit {
-                self.l1_hits += 1;
-            }
-        }
-
-        fn on_l2(&mut self, kind: L2RequestKind, hit: bool) {
-            match kind {
-                L2RequestKind::ReadIn => {
-                    self.read_ins += 1;
-                    if hit {
-                        self.read_in_hits += 1;
-                    }
-                }
-                L2RequestKind::WriteBack => self.write_backs += 1,
-            }
-        }
-
-        fn on_flush(&mut self) {
-            self.flushes += 1;
-        }
-    }
-
-    #[test]
-    fn metrics_sink_agrees_with_stats() {
-        let mut h = hierarchy();
-        let mut sink = CountingSink::default();
-        let events = vec![
-            TraceEvent::Ref(TraceRecord::write(0x000)),
-            TraceEvent::Ref(TraceRecord::read(0x100)), // evicts dirty 0x000
-            TraceEvent::Ref(TraceRecord::read(0x100)), // L1 hit
-            TraceEvent::Flush,
-            TraceEvent::Ref(TraceRecord::read(0x000)),
-        ];
-        h.run_metered(events, &mut (), &mut sink);
-        let s = h.stats();
-        assert_eq!(sink.refs, s.processor_refs);
-        assert_eq!(sink.refs - sink.l1_hits, s.read_ins);
-        assert_eq!(sink.read_ins, s.read_ins);
-        assert_eq!(sink.read_in_hits, s.read_in_hits);
-        assert_eq!(sink.write_backs, s.write_backs);
-        assert_eq!(sink.flushes, s.flushes);
-        assert_eq!(sink.l1_hits, 1);
-    }
-
-    /// Records the set-level sink callbacks for comparison with the
-    /// observer's pre-access view.
-    #[derive(Default)]
-    struct SetSink {
-        seen: Vec<(u64, L2RequestKind, bool, Option<usize>)>,
-    }
-
-    impl MetricsSink for SetSink {
-        fn on_l2_set(
-            &mut self,
-            set: u64,
-            kind: L2RequestKind,
-            hit: bool,
-            mru_distance: Option<usize>,
-        ) {
-            self.seen.push((set, kind, hit, mru_distance));
-        }
-    }
-
-    #[test]
-    fn set_sink_mirrors_observer_views() {
-        let mut h = hierarchy();
-        let mut sink = SetSink::default();
-        let mut views: Vec<(u64, L2RequestKind, bool, Option<usize>)> = Vec::new();
-        let mut obs = |req: &L2RequestView<'_>| {
-            views.push((req.set, req.kind, req.hit, req.mru_distance));
-        };
-        for i in 0..48u64 {
-            h.step_metered(&TraceRecord::write(i * 48), &mut obs, &mut sink);
-        }
-        assert_eq!(sink.seen.len() as u64, h.stats().l2_requests());
-        assert_eq!(sink.seen, views, "sink detail matches observer detail");
-        assert!(
-            sink.seen.iter().any(|(_, _, hit, _)| *hit),
-            "workload produced at least one L2 hit"
-        );
-    }
-
-    #[test]
-    fn unmetered_paths_match_metered_with_unit_sink() {
-        let events: Vec<TraceEvent> = (0..64u64)
-            .map(|i| TraceEvent::Ref(TraceRecord::write(i * 48)))
-            .collect();
-        let mut a = hierarchy();
-        a.run(events.clone(), &mut ());
-        let mut b = hierarchy();
-        b.run_metered(events, &mut (), &mut ());
-        assert_eq!(a.stats(), b.stats());
     }
 
     #[test]

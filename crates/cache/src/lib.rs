@@ -57,7 +57,7 @@ pub use config::{CacheConfig, CacheConfigError};
 pub use hash_rehash::{HashRehashCache, HrAccess};
 pub use hierarchy::{
     filter_l1, step_l1, FilteredEvent, L1Miss, L2Half, L2Observer, L2RequestKind, L2RequestView,
-    MetricsSink, TwoLevel, TwoLevelStats,
+    TwoLevel, TwoLevelStats,
 };
 pub use mattson::MattsonAnalyzer;
 pub use multilevel::{LevelTraffic, MultiLevel, MultiLevelObserver};

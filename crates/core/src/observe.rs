@@ -7,9 +7,8 @@
 //! aggregate probe count in [`Lookup`](crate::lookup::Lookup) says *how
 //! much* a search cost; the observer events say *why*.
 //!
-//! The trait mirrors the `MetricsSink` pattern of `seta-cache`: every
-//! method defaults to a no-op and the unit type `()` implements the trait,
-//! so driving a search with `&mut ()` monomorphizes the hooks away
+//! Every method defaults to a no-op and the unit type `()` implements the
+//! trait, so driving a search with `&mut ()` monomorphizes the hooks away
 //! entirely. Instrumented callers go through
 //! [`StrategyKind::lookup_observed`](crate::lookup::StrategyKind::lookup_observed)
 //! (or the same method on each strategy), which is generic in the

@@ -185,15 +185,6 @@ impl LatencyRecorder {
     pub fn p50_p99_ns(&mut self) -> (Option<u64>, Option<u64>) {
         (self.percentile_ns(50.0), self.percentile_ns(99.0))
     }
-
-    /// Mean of the retained samples, or `None` when empty.
-    pub fn mean_ns(&self) -> Option<u64> {
-        if self.samples_ns.is_empty() {
-            return None;
-        }
-        let sum: u128 = self.samples_ns.iter().map(|&v| v as u128).sum();
-        Some((sum / self.samples_ns.len() as u128) as u64)
-    }
 }
 
 #[cfg(test)]

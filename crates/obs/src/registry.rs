@@ -175,11 +175,6 @@ impl MetricsRegistry {
         self.counters[h.0].1
     }
 
-    /// Current value of a gauge.
-    pub fn gauge_value(&self, h: GaugeHandle) -> f64 {
-        self.gauges[h.0].1
-    }
-
     /// The histogram behind a handle.
     pub fn histogram_value(&self, h: HistogramHandle) -> &Log2Histogram {
         &self.histograms[h.0].1

@@ -7,7 +7,7 @@
 //! too, so CLIs can rebuild a section from a file instead of a live run.
 
 use super::svg::StackedBarChart;
-use super::svg::{log2_histogram_chart, BarChart, HeatCell, HeatGrid, LineChart, Series};
+use super::svg::{BarChart, HeatCell, HeatGrid, LineChart, Series};
 use super::{Cell, HtmlTable, Section};
 use crate::contention::ContentionReport;
 use crate::export::DiffReport;
@@ -351,14 +351,6 @@ pub fn contention_section(runs: &[(usize, ContentionReport)], artifact: Option<&
     if let Some(path) = artifact {
         s.artifact("contention rows", path);
     }
-    s
-}
-
-/// A standalone section wrapping one log2 histogram chart.
-pub fn histogram_section(id: &str, title: &str, unit: &str, h: &crate::Log2Histogram) -> Section {
-    let mut s = Section::new(id, title);
-    s.push_html(&log2_histogram_chart(title, unit, h));
-    s.para(&format!("{} observations, sum {}", h.count, h.sum));
     s
 }
 

@@ -235,7 +235,7 @@ impl<'a, O: ContentionObserver> Client<'a, O> {
             TraceEvent::Ref(r) => r,
         };
         self.refs += 1;
-        let Some(miss) = step_l1(&mut self.l1, record, &mut ()) else {
+        let Some(miss) = step_l1(&mut self.l1, record) else {
             return;
         };
         let resp = self.request(miss.read_addr, false);
@@ -323,7 +323,7 @@ impl<'a, O: ContentionObserver> Client<'a, O> {
 /// cache, returning the merged outcome. See [`replay_traced`] for the
 /// span-traced variant.
 pub fn replay(events: &[TraceEvent], threads: usize, spec: &LoadSpec) -> LoadOutcome {
-    replay_inner(events, threads, spec, None).0
+    replay_parts_observed(events, threads, spec, None, || NoContention).0
 }
 
 /// [`replay`] that also hands back the shared cache, so callers can
@@ -335,7 +335,7 @@ pub fn replay_with_cache(
     threads: usize,
     spec: &LoadSpec,
 ) -> (LoadOutcome, ConcurrentCache) {
-    let (out, _, cache) = replay_parts(events, threads, spec, None);
+    let (out, _, cache, ..) = replay_parts_observed(events, threads, spec, None, || NoContention);
     (out, cache)
 }
 
@@ -347,7 +347,8 @@ pub fn replay_traced(
     threads: usize,
     spec: &LoadSpec,
 ) -> (LoadOutcome, SpanTrace) {
-    replay_inner(events, threads, spec, None)
+    let (out, trace, ..) = replay_parts_observed(events, threads, spec, None, || NoContention);
+    (out, trace)
 }
 
 /// [`replay_traced`] that additionally publishes live progress to a
@@ -360,7 +361,9 @@ pub fn replay_served(
     spec: &LoadSpec,
     handle: &ServeHandle,
 ) -> (LoadOutcome, SpanTrace) {
-    replay_inner(events, threads, spec, Some(handle))
+    let (out, trace, ..) =
+        replay_parts_observed(events, threads, spec, Some(handle), || NoContention);
+    (out, trace)
 }
 
 /// [`replay`] with full contention attribution: every request's lock
@@ -403,27 +406,6 @@ pub fn replay_contended_traced(
         phases,
     };
     (out, trace, report)
-}
-
-fn replay_inner(
-    events: &[TraceEvent],
-    threads: usize,
-    spec: &LoadSpec,
-    handle: Option<&ServeHandle>,
-) -> (LoadOutcome, SpanTrace) {
-    let (out, trace, _) = replay_parts(events, threads, spec, handle);
-    (out, trace)
-}
-
-fn replay_parts(
-    events: &[TraceEvent],
-    threads: usize,
-    spec: &LoadSpec,
-    handle: Option<&ServeHandle>,
-) -> (LoadOutcome, SpanTrace, ConcurrentCache) {
-    let (out, trace, cache, _, _) =
-        replay_parts_observed(events, threads, spec, handle, || NoContention);
-    (out, trace, cache)
 }
 
 fn replay_parts_observed<O: ContentionObserver + Send>(

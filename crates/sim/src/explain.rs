@@ -27,14 +27,12 @@
 //! The report renders as human-readable text ([`ExplainReport::render`])
 //! or as a typed JSONL artifact ([`ExplainReport::write_jsonl`]).
 
-use crate::runner::{assemble_outcome, RunOutcome, Scorer};
+use crate::runner::{RunOutcome, RunTally, Scorer, L1_FITS_L2};
 use serde::{Deserialize, Serialize};
 use seta_cache::{CacheConfig, L2Observer, L2RequestKind, L2RequestView, TwoLevel};
 use seta_core::lookup::StrategyKind;
 use seta_core::{model, ProbeObserver};
-use seta_obs::{
-    EventRing, PositionHistogram, ProbeEvent, SetHeatmap, SpanBuffer, SpanClock, SpanTrace,
-};
+use seta_obs::{EventRing, PositionHistogram, ProbeEvent, SetHeatmap};
 use std::io::{self, Write};
 
 /// Knobs for an explain pass. The defaults keep memory bounded at any
@@ -744,58 +742,9 @@ pub fn explain<I>(
 where
     I: IntoIterator<Item = TraceEvent>,
 {
-    explain_impl(l1, l2, events, strategies, cfg, None)
-}
-
-/// [`explain`] with phase spans: identical results, plus a [`SpanTrace`]
-/// timing the pass's two phases — `score` (the simulation loop) and
-/// `reconcile` (building the attribution report and its cross-checks) —
-/// under an `explain` root span carrying the run's reference count.
-/// Phase brackets cost two clock reads each; the per-access path is
-/// untouched either way.
-pub fn explain_traced<I>(
-    l1: CacheConfig,
-    l2: CacheConfig,
-    events: I,
-    strategies: &[StrategyKind],
-    cfg: &ExplainConfig,
-) -> (RunOutcome, ExplainReport, SpanTrace)
-where
-    I: IntoIterator<Item = TraceEvent>,
-{
-    let mut buf = SpanBuffer::new(0, SpanClock::new());
-    let root = buf.open("explain", "run");
-    let (outcome, report) = explain_impl(l1, l2, events, strategies, cfg, Some(&mut buf));
-    buf.counter(root, "refs", outcome.hierarchy.processor_refs);
-    buf.counter(root, "read_ins", outcome.hierarchy.read_ins);
-    buf.close(root);
-    let mut trace = SpanTrace::new();
-    trace.name_track(0, "main");
-    trace.absorb(buf);
-    (outcome, report, trace)
-}
-
-/// The shared explain body; `spans`, when present, receives `score` and
-/// `reconcile` phase spans.
-fn explain_impl<I>(
-    l1: CacheConfig,
-    l2: CacheConfig,
-    events: I,
-    strategies: &[StrategyKind],
-    cfg: &ExplainConfig,
-    mut spans: Option<&mut SpanBuffer>,
-) -> (RunOutcome, ExplainReport)
-where
-    I: IntoIterator<Item = TraceEvent>,
-{
-    let mut hierarchy = TwoLevel::new(l1, l2).expect("L1 blocks must fit in L2 blocks");
+    let mut hierarchy = TwoLevel::new(l1, l2).expect(L1_FITS_L2);
     let mut explainer = Explainer::new(strategies, l2.associativity(), cfg);
-    let score = spans.as_deref_mut().map(|b| b.open("score", "phase"));
     hierarchy.run(events, &mut explainer);
-    if let (Some(b), Some(id)) = (spans.as_deref_mut(), score) {
-        b.close(id);
-    }
-    let reconcile = spans.as_deref_mut().map(|b| b.open("reconcile", "phase"));
     let Explainer {
         scorer,
         totals,
@@ -804,7 +753,7 @@ where
         positions,
         ..
     } = explainer;
-    let outcome = assemble_outcome(&hierarchy, scorer, strategies);
+    let outcome = RunTally::of(&hierarchy, scorer).into_outcome(l1, l2, strategies);
 
     let attributions: Vec<StrategyAttribution> = strategies
         .iter()
@@ -838,9 +787,6 @@ where
             every: ring.sample_every(),
         },
     };
-    if let (Some(b), Some(id)) = (spans, reconcile) {
-        b.close(id);
-    }
     (outcome, report)
 }
 
@@ -897,38 +843,6 @@ mod tests {
             assert_eq!(a.probes, b.probes, "{}", a.name);
             assert_eq!(a.probes_no_opt, b.probes_no_opt, "{}", a.name);
         }
-    }
-
-    #[test]
-    fn traced_explain_matches_and_records_phases() {
-        let (l1, l2) = geometries();
-        let strategies = standard_strategies(4, 16);
-        let (plain_outcome, plain_report) = explain(
-            l1,
-            l2,
-            small_trace(5_000, 33),
-            &strategies,
-            &ExplainConfig::default(),
-        );
-        let (outcome, report, trace) = explain_traced(
-            l1,
-            l2,
-            small_trace(5_000, 33),
-            &strategies,
-            &ExplainConfig::default(),
-        );
-        assert_eq!(outcome.hierarchy, plain_outcome.hierarchy);
-        assert_eq!(report.checks.len(), plain_report.checks.len());
-        let names: Vec<&str> = trace.spans.iter().map(|s| s.name.as_str()).collect();
-        assert!(names.contains(&"explain"));
-        assert!(names.contains(&"score"));
-        assert!(names.contains(&"reconcile"));
-        let root = trace
-            .spans
-            .iter()
-            .find(|s| s.name == "explain")
-            .expect("root span");
-        assert_eq!(root.counter("refs"), Some(outcome.hierarchy.processor_refs));
     }
 
     #[test]

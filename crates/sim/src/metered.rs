@@ -10,13 +10,10 @@
 //! [`Progress`] heartbeat reports refs/sec and ETA on stderr.
 //!
 //! The un-instrumented path never pays for any of this: `simulate` drives
-//! the hierarchy with the unit [`MetricsSink`],
-//! which monomorphizes to nothing.
+//! the hierarchy with the bare probe scorer as its only observer.
 
-use crate::runner::{assemble_outcome, RunOutcome, Scorer};
-use seta_cache::{
-    CacheConfig, L2Observer, L2RequestKind, L2RequestView, MetricsSink, TwoLevel, TwoLevelStats,
-};
+use crate::runner::{RunOutcome, RunTally, Scorer, L1_FITS_L2};
+use seta_cache::{CacheConfig, L2Observer, L2RequestKind, L2RequestView, TwoLevel, TwoLevelStats};
 use seta_core::lookup::StrategyKind;
 use seta_obs::export::{final_snapshot_line, snapshot_line};
 use seta_obs::timeseries::{WindowRecord, WindowSeries, DEFAULT_WINDOW_REFS};
@@ -137,7 +134,7 @@ struct Meter<'a> {
 }
 
 impl<'a> Meter<'a> {
-    fn new(strategies: &'a [StrategyKind], assoc: u32, window_refs: u64) -> Self {
+    fn new(scorer: Scorer<'a>, strategies: &[StrategyKind], window_refs: u64) -> Self {
         let mut registry = MetricsRegistry::new();
         let global = GlobalHandles {
             refs: registry.counter("refs_total"),
@@ -181,7 +178,7 @@ impl<'a> Meter<'a> {
             .collect();
         let names: Vec<String> = strategies.iter().map(|s| s.name()).collect();
         Meter {
-            scorer: Scorer::new(strategies, assoc),
+            scorer,
             registry,
             global,
             per_strategy,
@@ -204,11 +201,14 @@ impl<'a> Meter<'a> {
 
     /// Overwrites counters and gauges with the authoritative totals from
     /// the hierarchy and the scorer. All sources are monotone, so
-    /// repeated syncs yield monotone counter series.
-    fn sync(&mut self, stats: &TwoLevelStats, l1_hits: u64, elapsed_secs: f64) {
+    /// repeated syncs yield monotone counter series. Every L1 miss is
+    /// exactly one read-in, so the L1 hits are the references that sent
+    /// none.
+    fn sync(&mut self, stats: &TwoLevelStats, elapsed_secs: f64) {
         let g = &self.global;
         self.registry.set_counter(g.refs, stats.processor_refs);
-        self.registry.set_counter(g.l1_hits, l1_hits);
+        self.registry
+            .set_counter(g.l1_hits, stats.processor_refs - stats.read_ins);
         self.registry.set_counter(g.flushes, stats.flushes);
         self.registry.set_counter(g.read_ins, stats.read_ins);
         self.registry
@@ -289,9 +289,14 @@ impl L2Observer for Meter<'_> {
     }
 }
 
-/// The heartbeat the sequential instrumented loop publishes to a live
-/// server: one worker, rate derived from the wall clock.
-fn live_heartbeat(refs: u64, wall_seconds: f64, window_miss_ratio: Option<f64>) -> ServeHeartbeat {
+/// The heartbeat a run publishes to a live server after `refs`
+/// references in `wall_seconds` on `workers` workers.
+pub(crate) fn live_heartbeat(
+    refs: u64,
+    wall_seconds: f64,
+    window_miss_ratio: Option<f64>,
+    workers: usize,
+) -> ServeHeartbeat {
     ServeHeartbeat {
         refs,
         wall_seconds,
@@ -301,21 +306,7 @@ fn live_heartbeat(refs: u64, wall_seconds: f64, window_miss_ratio: Option<f64>) 
             0.0
         },
         window_miss_ratio,
-        active_workers: Some(1),
-    }
-}
-
-/// Counts L1 outcomes through the hierarchy's [`MetricsSink`] hook.
-#[derive(Default)]
-struct RefSink {
-    l1_hits: u64,
-}
-
-impl MetricsSink for RefSink {
-    fn on_ref(&mut self, l1_hit: bool) {
-        if l1_hit {
-            self.l1_hits += 1;
-        }
+        active_workers: Some(workers as u64),
     }
 }
 
@@ -355,12 +346,9 @@ where
     I: IntoIterator<Item = TraceEvent>,
     W: Write,
 {
-    let mut hierarchy = TwoLevel::new(l1, l2).expect("L1 blocks must fit in L2 blocks");
-    if let Some(spec) = crate::runner::partial_lane_spec(strategies, l2.associativity()) {
-        hierarchy.enable_partial_lanes(spec);
-    }
-    let mut meter = Meter::new(strategies, l2.associativity(), cfg.window_refs);
-    let mut sink = RefSink::default();
+    let mut hierarchy = TwoLevel::new(l1, l2).expect(L1_FITS_L2);
+    let scorer = Scorer::with_lanes(strategies, l2, |s| hierarchy.enable_partial_lanes(s));
+    let mut meter = Meter::new(scorer, strategies, cfg.window_refs);
     let mut span_buf = SpanBuffer::new(0, SpanClock::new());
     let run_span = span_buf.open("simulate", "run");
     let mut seg_span = span_buf.open("segment-0", "segment");
@@ -405,7 +393,7 @@ where
     for event in events {
         events_seen += 1;
         let is_flush = matches!(event, TraceEvent::Flush);
-        hierarchy.process_metered(&event, &mut meter, &mut sink);
+        hierarchy.process(&event, &mut meter);
         if is_flush {
             manifest.end_phase(segment_guard);
             let span = manifest
@@ -454,11 +442,7 @@ where
         if refs >= next_snapshot {
             next_snapshot = refs + cfg.snapshot_every;
             if metrics_out.is_some() || cfg.serve.is_some() {
-                meter.sync(
-                    hierarchy.stats(),
-                    sink.l1_hits,
-                    started.elapsed().as_secs_f64(),
-                );
+                meter.sync(hierarchy.stats(), started.elapsed().as_secs_f64());
             }
             if let Some(out) = metrics_out.as_deref_mut() {
                 writeln!(out, "{}", snapshot_line(&meter.registry, seq, refs))?;
@@ -471,7 +455,8 @@ where
                     .windows
                     .as_ref()
                     .and_then(|w| w.last_window_miss_ratio());
-                h.publish_heartbeat(&live_heartbeat(refs, started.elapsed().as_secs_f64(), miss));
+                let wall = started.elapsed().as_secs_f64();
+                h.publish_heartbeat(&live_heartbeat(refs, wall, miss, 1));
             }
         }
     }
@@ -494,11 +479,7 @@ where
         p.finish();
     }
 
-    meter.sync(
-        hierarchy.stats(),
-        sink.l1_hits,
-        started.elapsed().as_secs_f64(),
-    );
+    meter.sync(hierarchy.stats(), started.elapsed().as_secs_f64());
     let Meter {
         scorer,
         registry,
@@ -528,10 +509,11 @@ where
         }
         h.publish_manifest(&manifest);
         let miss = windows.last().and_then(WindowRecord::miss_ratio);
-        h.publish_heartbeat(&live_heartbeat(refs, started.elapsed().as_secs_f64(), miss));
+        let wall = started.elapsed().as_secs_f64();
+        h.publish_heartbeat(&live_heartbeat(refs, wall, miss, 1));
         h.finish_run();
     }
-    let outcome = assemble_outcome(&hierarchy, scorer, strategies);
+    let outcome = RunTally::of(&hierarchy, scorer).into_outcome(l1, l2, strategies);
     Ok(MeteredRun {
         outcome,
         manifest,

@@ -51,7 +51,7 @@ pub fn worker_threads(queue_len: usize) -> usize {
 
 /// [`worker_threads`] before the clamp to the queue length: what a caller
 /// sizing the queue itself should plan for.
-pub(crate) fn requested_threads() -> usize {
+pub fn requested_threads() -> usize {
     std::env::var("SETA_THREADS")
         .ok()
         .and_then(|s| s.parse::<usize>().ok())

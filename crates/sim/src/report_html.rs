@@ -299,7 +299,7 @@ pub fn sweep_outcomes_section(outcomes: &[RunOutcome]) -> Section {
 mod tests {
     use super::*;
     use crate::explain::{explain, ExplainConfig};
-    use crate::runner::{simulate_many_traced, standard_strategies, RunSpec};
+    use crate::runner::{simulate_many_traced_with_threads, standard_strategies, RunSpec};
     use crate::sweep_report::SweepReport;
     use seta_cache::CacheConfig;
     use seta_obs::report::{validate_self_contained, HtmlPage};
@@ -350,7 +350,7 @@ mod tests {
                 tag_bits: 16,
             })
             .collect();
-        let (outcomes, trace) = simulate_many_traced(&specs);
+        let (outcomes, trace) = simulate_many_traced_with_threads(&specs, 2);
         let report = SweepReport::from_trace(&trace);
         let html = page_with(sweep_section(&report, Some("sweep.perfetto.json")));
         assert!(html.contains("Busy fraction"), "worker chart present");

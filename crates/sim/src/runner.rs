@@ -1,5 +1,6 @@
 //! The simulation loop: one trace pass scores every lookup strategy.
 
+use crate::metered::live_heartbeat;
 use crate::partition::{chunk_ranges, requested_threads};
 use serde::{Deserialize, Serialize};
 use seta_cache::{
@@ -73,6 +74,24 @@ pub(crate) struct Scorer<'a> {
 }
 
 impl<'a> Scorer<'a> {
+    /// The scorer of a hierarchy's L2 requests under `strategies`. When
+    /// one of them is a partial compare realizable at `l2`'s associativity,
+    /// `enable_lanes` first receives its lane spec, so the L2 maintains the
+    /// packed tag lanes the partial fast path reads instead of packing the
+    /// set on every access. Every path that prices a hierarchy with the
+    /// plain lookups builds its scorer here.
+    pub(crate) fn with_lanes(
+        strategies: &'a [StrategyKind],
+        l2: CacheConfig,
+        enable_lanes: impl FnOnce(LaneSpec) -> bool,
+    ) -> Self {
+        let assoc = l2.associativity();
+        if let Some(spec) = strategies.iter().find_map(|s| s.lane_spec(assoc as usize)) {
+            enable_lanes(spec);
+        }
+        Scorer::new(strategies, assoc)
+    }
+
     pub(crate) fn new(strategies: &'a [StrategyKind], assoc: u32) -> Self {
         Scorer {
             strategies,
@@ -149,15 +168,6 @@ impl L2Observer for Scorer<'_> {
     }
 }
 
-/// The packed-lane geometry the hierarchy should maintain for
-/// `strategies`: the first partial-compare strategy whose spec is
-/// realizable at associativity `assoc`. Feeding this to
-/// [`TwoLevel::enable_partial_lanes`] lets the scorer's partial fast path
-/// read precomputed lane words instead of packing the set on every access.
-pub(crate) fn partial_lane_spec(strategies: &[StrategyKind], assoc: u32) -> Option<LaneSpec> {
-    strategies.iter().find_map(|s| s.lane_spec(assoc as usize))
-}
-
 /// Runs one simulation: drives `events` through a fresh two-level
 /// hierarchy and prices every L2 request under each strategy.
 ///
@@ -192,15 +202,14 @@ pub fn simulate_with_l2_policy<I>(
 where
     I: IntoIterator<Item = TraceEvent>,
 {
-    let mut hierarchy = TwoLevel::with_l2_policy(l1, l2, l2_policy, policy_seed)
-        .expect("L1 blocks must fit in L2 blocks");
-    if let Some(spec) = partial_lane_spec(strategies, l2.associativity()) {
-        hierarchy.enable_partial_lanes(spec);
-    }
-    let mut scorer = Scorer::new(strategies, l2.associativity());
+    let mut hierarchy = TwoLevel::with_l2_policy(l1, l2, l2_policy, policy_seed).expect(L1_FITS_L2);
+    let mut scorer = Scorer::with_lanes(strategies, l2, |s| hierarchy.enable_partial_lanes(s));
     hierarchy.run(events, &mut scorer);
-    assemble_outcome(&hierarchy, scorer, strategies)
+    RunTally::of(&hierarchy, scorer).into_outcome(l1, l2, strategies)
 }
+
+/// Why building a hierarchy from checked configurations cannot fail.
+pub(crate) const L1_FITS_L2: &str = "L1 blocks must fit in L2 blocks";
 
 /// Totals already attributed to earlier segments of a traced run, so each
 /// segment span carries only its own deltas and the per-segment counters
@@ -224,7 +233,7 @@ impl SegmentMark {
         stats: &TwoLevelStats,
         results: &[(ProbeStats, ProbeStats)],
     ) {
-        let probes = shard_probe_total(results);
+        let probes = probe_total(results);
         buf.counter(span, "refs", stats.processor_refs - self.refs);
         buf.counter(span, "read_ins", stats.read_ins - self.read_ins);
         buf.counter(span, "read_in_hits", stats.read_in_hits - self.read_in_hits);
@@ -257,11 +266,8 @@ pub fn simulate_traced<I>(
 where
     I: IntoIterator<Item = TraceEvent>,
 {
-    let mut hierarchy = TwoLevel::new(l1, l2).expect("L1 blocks must fit in L2 blocks");
-    if let Some(spec) = partial_lane_spec(strategies, l2.associativity()) {
-        hierarchy.enable_partial_lanes(spec);
-    }
-    let mut scorer = Scorer::new(strategies, l2.associativity());
+    let mut hierarchy = TwoLevel::new(l1, l2).expect(L1_FITS_L2);
+    let mut scorer = Scorer::with_lanes(strategies, l2, |s| hierarchy.enable_partial_lanes(s));
     let mut buf = SpanBuffer::new(0, SpanClock::new());
     let root = buf.open("simulate", "run");
     let mut segment = 0u64;
@@ -281,41 +287,8 @@ where
     let mut trace = SpanTrace::new();
     trace.name_track(0, "main");
     trace.absorb(buf);
-    (assemble_outcome(&hierarchy, scorer, strategies), trace)
-}
-
-/// Builds the [`RunOutcome`] from a finished hierarchy and scorer (shared
-/// by the plain and instrumented simulation paths).
-pub(crate) fn assemble_outcome(
-    hierarchy: &TwoLevel,
-    scorer: Scorer<'_>,
-    strategies: &[StrategyKind],
-) -> RunOutcome {
-    let (l1_stats, l2_stats) = hierarchy.level_stats();
-    let mru_update_fraction = if scorer.requests == 0 {
-        0.0
-    } else {
-        scorer.mru_updates as f64 / scorer.requests as f64
-    };
-    RunOutcome {
-        l1_label: hierarchy.l1().config().label(),
-        l2_label: hierarchy.l2().config().label(),
-        assoc: hierarchy.l2().config().associativity(),
-        hierarchy: *hierarchy.stats(),
-        l1_stats,
-        l2_stats,
-        strategies: strategies
-            .iter()
-            .zip(scorer.results)
-            .map(|(s, (probes, probes_no_opt))| StrategyResult {
-                name: s.name(),
-                probes,
-                probes_no_opt,
-            })
-            .collect(),
-        mru_hist: scorer.mru_hist,
-        mru_update_fraction,
-    }
+    let outcome = RunTally::of(&hierarchy, scorer).into_outcome(l1, l2, strategies);
+    (outcome, trace)
 }
 
 /// One run of a parameter sweep: a hierarchy plus the workload to drive
@@ -351,7 +324,7 @@ impl RunSpec {
 
     /// Simulates segments `start..end` of this spec on a fresh hierarchy,
     /// streaming them straight from the generator.
-    fn run_segments(&self, start: usize, end: usize) -> ShardOutcome {
+    fn run_segments(&self, start: usize, end: usize) -> RunTally {
         self.run_events(AtumLike::segment_range(
             self.trace.clone(),
             self.seed,
@@ -362,17 +335,13 @@ impl RunSpec {
 
     /// Simulates `events` on a fresh hierarchy, returning the mergeable
     /// counters.
-    fn run_events(&self, events: impl IntoIterator<Item = TraceEvent>) -> ShardOutcome {
-        let strategies = standard_strategies(self.l2.associativity(), self.tag_bits);
-        let mut hierarchy = TwoLevel::with_l2_policy(self.l1, self.l2, seta_cache::Policy::Lru, 0)
-            .expect("L1 blocks must fit in L2 blocks");
-        if let Some(spec) = partial_lane_spec(&strategies, self.l2.associativity()) {
-            hierarchy.enable_partial_lanes(spec);
-        }
-        let mut scorer = Scorer::new(&strategies, self.l2.associativity());
+    fn run_events(&self, events: impl IntoIterator<Item = TraceEvent>) -> RunTally {
+        let strategies = self.strategies();
+        let mut hierarchy = TwoLevel::new(self.l1, self.l2).expect(L1_FITS_L2);
+        let mut scorer =
+            Scorer::with_lanes(&strategies, self.l2, |s| hierarchy.enable_partial_lanes(s));
         hierarchy.run(events, &mut scorer);
-        let (l1_stats, l2_stats) = hierarchy.level_stats();
-        ShardOutcome::new(*hierarchy.stats(), l1_stats, l2_stats, scorer)
+        RunTally::of(&hierarchy, scorer)
     }
 
     /// Replays events already filtered through this spec's L1 into a fresh
@@ -383,18 +352,19 @@ impl RunSpec {
         filtered: &[FilteredEvent],
         l1_side: TwoLevelStats,
         l1_stats: CacheStats,
-    ) -> ShardOutcome {
-        let strategies = standard_strategies(self.l2.associativity(), self.tag_bits);
-        let mut l2 = L2Half::new(self.l1, self.l2, seta_cache::Policy::Lru, 0)
-            .expect("L1 blocks must fit in L2 blocks");
-        if let Some(spec) = partial_lane_spec(&strategies, self.l2.associativity()) {
-            l2.enable_partial_lanes(spec);
-        }
-        let mut scorer = Scorer::new(&strategies, self.l2.associativity());
+    ) -> RunTally {
+        let strategies = self.strategies();
+        let mut l2 = L2Half::new(self.l1, self.l2, seta_cache::Policy::Lru, 0).expect(L1_FITS_L2);
+        let mut scorer = Scorer::with_lanes(&strategies, self.l2, |s| l2.enable_partial_lanes(s));
         let mut hierarchy = TwoLevelStats::default();
         l2.replay(filtered, &mut hierarchy, &mut scorer);
         hierarchy += l1_side;
-        ShardOutcome::new(hierarchy, l1_stats, *l2.cache().stats(), scorer)
+        RunTally::new(hierarchy, l1_stats, *l2.cache().stats(), scorer)
+    }
+
+    /// The standard strategy set this spec prices.
+    fn strategies(&self) -> Vec<StrategyKind> {
+        standard_strategies(self.l2.associativity(), self.tag_bits)
     }
 }
 
@@ -424,7 +394,7 @@ impl Shard {
     /// the segments, buffered in `scratch`; since the L2 sees only L1
     /// traffic, the buffer is then filtered once per distinct L1 and each
     /// spec with that L1 replays the misses through its own L2 half.
-    fn run(&self, specs: &[RunSpec], scratch: &mut ShardScratch) -> (Vec<ShardOutcome>, u64) {
+    fn run(&self, specs: &[RunSpec], scratch: &mut ShardScratch) -> (Vec<RunTally>, u64) {
         let head = &specs[self.specs[0]];
         if self.specs.len() == 1 {
             return (vec![head.run_segments(self.seg_start, self.seg_end)], 1);
@@ -440,7 +410,7 @@ impl Shard {
             self.seg_start,
             self.seg_end,
         ));
-        let mut outs: Vec<Option<ShardOutcome>> = self.specs.iter().map(|_| None).collect();
+        let mut outs: Vec<Option<RunTally>> = self.specs.iter().map(|_| None).collect();
         let mut l1_passes = 0;
         for (k, &i) in self.specs.iter().enumerate() {
             if outs[k].is_some() {
@@ -501,10 +471,10 @@ impl Shard {
     }
 }
 
-/// The mergeable counters one shard produces for one spec. Everything in
-/// a [`RunOutcome`] except the labels is a sum (or a ratio of sums) of
-/// these.
-pub(crate) struct ShardOutcome {
+/// The mergeable counters of a run, or of one shard of one spec in a
+/// sweep. Everything in a [`RunOutcome`] except the labels is a sum (or a
+/// ratio of sums) of these, and every path assembles its outcome from one.
+pub(crate) struct RunTally {
     hierarchy: TwoLevelStats,
     l1_stats: CacheStats,
     l2_stats: CacheStats,
@@ -514,16 +484,15 @@ pub(crate) struct ShardOutcome {
     requests: u64,
 }
 
-impl ShardOutcome {
-    /// Collects one spec's counters from its hierarchy statistics and
-    /// finished scorer.
+impl RunTally {
+    /// Collects the counters of hierarchy statistics and a finished scorer.
     fn new(
         hierarchy: TwoLevelStats,
         l1_stats: CacheStats,
         l2_stats: CacheStats,
         scorer: Scorer<'_>,
     ) -> Self {
-        ShardOutcome {
+        RunTally {
             hierarchy,
             l1_stats,
             l2_stats,
@@ -534,8 +503,14 @@ impl ShardOutcome {
         }
     }
 
+    /// The counters of a finished hierarchy and the scorer that priced it.
+    pub(crate) fn of(hierarchy: &TwoLevel, scorer: Scorer<'_>) -> Self {
+        let (l1_stats, l2_stats) = hierarchy.level_stats();
+        RunTally::new(*hierarchy.stats(), l1_stats, l2_stats, scorer)
+    }
+
     /// Folds `other` (another segment range of the same spec) into `self`.
-    fn merge(&mut self, other: ShardOutcome) {
+    fn merge(&mut self, other: RunTally) {
         self.hierarchy += other.hierarchy;
         self.l1_stats += other.l1_stats;
         self.l2_stats += other.l2_stats;
@@ -549,33 +524,47 @@ impl ShardOutcome {
         self.requests += other.requests;
     }
 
-    /// Finishes the fold into the public outcome type.
-    fn into_outcome(self, spec: &RunSpec) -> RunOutcome {
+    /// The public outcome of a run of `strategies` on an `l1`/`l2`
+    /// hierarchy.
+    pub(crate) fn into_outcome(
+        self,
+        l1: CacheConfig,
+        l2: CacheConfig,
+        strategies: &[StrategyKind],
+    ) -> RunOutcome {
         let mru_update_fraction = if self.requests == 0 {
             0.0
         } else {
             self.mru_updates as f64 / self.requests as f64
         };
         RunOutcome {
-            l1_label: spec.l1.label(),
-            l2_label: spec.l2.label(),
-            assoc: spec.l2.associativity(),
+            l1_label: l1.label(),
+            l2_label: l2.label(),
+            assoc: l2.associativity(),
             hierarchy: self.hierarchy,
             l1_stats: self.l1_stats,
             l2_stats: self.l2_stats,
-            strategies: standard_strategies(spec.l2.associativity(), spec.tag_bits)
-                .iter()
-                .zip(self.results)
-                .map(|(s, (probes, probes_no_opt))| StrategyResult {
-                    name: s.name(),
-                    probes,
-                    probes_no_opt,
-                })
-                .collect(),
+            strategies: strategy_results(strategies, self.results),
             mru_hist: self.mru_hist,
             mru_update_fraction,
         }
     }
+}
+
+/// Names each strategy's `(optimized, unoptimized)` probe books.
+fn strategy_results(
+    strategies: &[StrategyKind],
+    results: Vec<(ProbeStats, ProbeStats)>,
+) -> Vec<StrategyResult> {
+    strategies
+        .iter()
+        .zip(results)
+        .map(|(s, (probes, probes_no_opt))| StrategyResult {
+            name: s.name(),
+            probes,
+            probes_no_opt,
+        })
+        .collect()
 }
 
 /// Splits the sweep into its units of parallelism for `workers` workers.
@@ -638,288 +627,136 @@ fn plan(specs: &[RunSpec], requested: usize) -> (Vec<Shard>, usize) {
     (shards, threads)
 }
 
-/// Hooks the sharded sweep loop calls around each unit of work.
+/// Records a sharded sweep at shard granularity, so every sweep records:
+/// the per-access hot path inside a shard never sees the recorder.
 ///
-/// The default [`NoTracer`] implements every method as an empty body on a
-/// unit worker type, so the un-traced [`simulate_many`] monomorphizes to
-/// exactly the code it had before tracing existed — the same zero-cost
-/// pattern as `ProbeObserver` and the unit `MetricsSink`. The traced path
-/// substitutes [`SweepSpanTracer`], which records per-shard, queue-wait
-/// and merge spans into per-worker [`SpanBuffer`]s merged at join.
-pub(crate) trait SweepTracer: Sync {
-    /// Per-worker recorder state, created and consumed on the worker's
-    /// own thread.
-    type Worker;
-    /// Called on the worker's thread before it starts draining the queue.
-    /// Track 0 is the coordinating thread; workers are 1-based.
-    fn worker_start(&self, track: u32) -> Self::Worker;
-    /// Called when the worker dequeues a shard, before simulating it.
-    fn shard_begin(&self, worker: &mut Self::Worker, shard: &Shard);
-    /// Called when the shard's simulation finishes, with one outcome per
-    /// spec in the shard and the number of L1 passes it made.
-    fn shard_end(&self, worker: &mut Self::Worker, outs: &[ShardOutcome], l1_passes: u64);
-    /// Called when the queue is drained, still on the worker's thread.
-    fn worker_finish(&self, worker: Self::Worker);
-    /// Brackets the sequential fold of shard outcomes on the main thread.
-    fn merge_begin(&self);
-    /// See [`merge_begin`](SweepTracer::merge_begin).
-    fn merge_end(&self);
-}
-
-/// The zero-cost tracer: every hook is empty and the worker state is `()`.
-pub(crate) struct NoTracer;
-
-impl SweepTracer for NoTracer {
-    type Worker = ();
-    fn worker_start(&self, _track: u32) {}
-    fn shard_begin(&self, _worker: &mut (), _shard: &Shard) {}
-    fn shard_end(&self, _worker: &mut (), _outs: &[ShardOutcome], _l1_passes: u64) {}
-    fn worker_finish(&self, _worker: ()) {}
-    fn merge_begin(&self) {}
-    fn merge_end(&self) {}
-}
-
-/// Span state the coordinating thread owns: its own buffer (track 0,
-/// holding the sweep root and merge spans) and the merged trace.
-struct SweepTracerState {
-    main: SpanBuffer,
-    sweep: SpanId,
-    merge: Option<SpanId>,
-    trace: SpanTrace,
-}
-
-/// The recording tracer behind [`simulate_many_traced`].
-///
-/// Workers record into private buffers (no locking on the hot path); the
-/// shared mutex is taken once per worker at join to merge, and briefly on
-/// the main thread around the fold.
-pub(crate) struct SweepSpanTracer {
+/// Each worker writes spans into a private [`SpanBuffer`] (its root, one
+/// span per shard with counter attachments, and queue-wait spans between
+/// shards) and hands it back at join. With a [`ServeHandle`] the recorder
+/// also publishes live progress: `sweep_shards_total`/`sweep_workers`
+/// gauges at start, running `sweep_shards_done_total`/`sweep_refs_total`/
+/// `sweep_probes_total` counters, a per-worker
+/// `sweep_worker_busy{worker="N"}` gauge flipped around every shard plus a
+/// `sweep_worker_shards_total{worker="N"}` counter, and a heartbeat after
+/// each shard.
+struct SweepRecorder {
     clock: SpanClock,
-    state: std::sync::Mutex<SweepTracerState>,
-}
-
-/// One worker's open-span bookkeeping: the worker root, the currently
-/// open queue-wait span, and the in-flight shard span.
-pub(crate) struct SpanWorker {
-    buf: SpanBuffer,
-    root: SpanId,
-    wait: SpanId,
-    current: Option<SpanId>,
-}
-
-impl SweepSpanTracer {
-    fn new() -> Self {
-        let clock = SpanClock::new();
-        let mut main = SpanBuffer::new(0, clock.clone());
-        let sweep = main.open("sweep", "sweep");
-        let mut trace = SpanTrace::new();
-        trace.name_track(0, "main");
-        SweepSpanTracer {
-            clock,
-            state: std::sync::Mutex::new(SweepTracerState {
-                main,
-                sweep,
-                merge: None,
-                trace,
-            }),
-        }
-    }
-
-    /// Closes the sweep root and returns the merged trace.
-    fn finish(self, shards: usize, workers: usize) -> SpanTrace {
-        let mut st = self.state.into_inner().expect("tracer state intact");
-        st.main.counter(st.sweep, "shards", shards as u64);
-        st.main.counter(st.sweep, "workers", workers as u64);
-        st.main.close(st.sweep);
-        st.trace.absorb(st.main);
-        st.trace
-    }
-}
-
-impl SweepTracer for SweepSpanTracer {
-    type Worker = SpanWorker;
-
-    fn worker_start(&self, track: u32) -> SpanWorker {
-        let mut buf = SpanBuffer::new(track, self.clock.clone());
-        let root = buf.open(format!("worker-{track}"), "worker");
-        let wait = buf.open("queue-wait", "queue-wait");
-        SpanWorker {
-            buf,
-            root,
-            wait,
-            current: None,
-        }
-    }
-
-    fn shard_begin(&self, w: &mut SpanWorker, shard: &Shard) {
-        w.buf.close(w.wait);
-        w.current = Some(w.buf.open(shard.name(), "shard"));
-    }
-
-    fn shard_end(&self, w: &mut SpanWorker, outs: &[ShardOutcome], l1_passes: u64) {
-        let id = w.current.take().expect("shard_begin opened the span");
-        let sum = |f: fn(&ShardOutcome) -> u64| outs.iter().map(f).sum();
-        w.buf
-            .counter(id, "refs", sum(|o| o.hierarchy.processor_refs));
-        w.buf.counter(id, "read_ins", sum(|o| o.hierarchy.read_ins));
-        w.buf
-            .counter(id, "read_in_hits", sum(|o| o.hierarchy.read_in_hits));
-        w.buf
-            .counter(id, "write_backs", sum(|o| o.hierarchy.write_backs));
-        w.buf
-            .counter(id, "probes", sum(|o| shard_probe_total(&o.results)));
-        w.buf.counter(id, "l1_passes", l1_passes);
-        w.buf.close(id);
-        w.wait = w.buf.open("queue-wait", "queue-wait");
-    }
-
-    fn worker_finish(&self, mut w: SpanWorker) {
-        w.buf.close(w.wait);
-        w.buf.close(w.root);
-        let mut st = self.state.lock().expect("tracer state intact");
-        let track = w.buf.track();
-        st.trace.name_track(track, format!("worker-{track}"));
-        st.trace.absorb(w.buf);
-    }
-
-    fn merge_begin(&self) {
-        let mut st = self.state.lock().expect("tracer state intact");
-        let id = st.main.open("merge", "merge");
-        st.merge = Some(id);
-    }
-
-    fn merge_end(&self) {
-        let mut st = self.state.lock().expect("tracer state intact");
-        let id = st.merge.take().expect("merge_begin opened the span");
-        st.main.close(id);
-    }
-}
-
-/// The live-monitoring tracer behind [`simulate_many_served`].
-///
-/// Wraps [`SweepSpanTracer`] — a served sweep still yields the span trace —
-/// and additionally publishes sweep progress to a [`ServeHandle`]:
-/// `sweep_shards_total`/`sweep_workers` gauges at start, running
-/// `sweep_shards_done_total`/`sweep_refs_total`/`sweep_probes_total`
-/// counters, a per-worker `sweep_worker_busy{worker="N"}` gauge flipped
-/// around every shard plus a `sweep_worker_shards_total{worker="N"}`
-/// counter, and a heartbeat after each shard. All publishing happens at
-/// shard granularity — the per-access hot path inside each shard is the
-/// same monomorphized code as the un-served sweep.
-pub(crate) struct ServeSweepTracer {
-    inner: SweepSpanTracer,
-    handle: ServeHandle,
+    serve: Option<ServeHandle>,
     started: Instant,
     workers: usize,
     refs: AtomicU64,
 }
 
-impl ServeSweepTracer {
-    fn new(handle: ServeHandle, shards: usize, workers: usize) -> Self {
-        handle.update_metrics(|m| {
-            let g = m.gauge("sweep_shards_total");
-            m.set_gauge(g, shards as f64);
-            let g = m.gauge("sweep_workers");
-            m.set_gauge(g, workers as f64);
-            // Register the running counters up front so the first scrape
-            // already shows the full schema at zero.
-            m.counter("sweep_shards_done_total");
-            m.counter("sweep_refs_total");
-            m.counter("sweep_probes_total");
-        });
-        ServeSweepTracer {
-            inner: SweepSpanTracer::new(),
-            handle,
+/// One worker's span buffer, its root span, and the span now open under
+/// it: a queue wait between shards, or the shard being simulated.
+struct WorkerSpans {
+    buf: SpanBuffer,
+    root: SpanId,
+    open: SpanId,
+}
+
+impl SweepRecorder {
+    fn new(serve: Option<ServeHandle>, shards: usize, workers: usize) -> Self {
+        if let Some(h) = &serve {
+            h.update_metrics(|m| {
+                let g = m.gauge("sweep_shards_total");
+                m.set_gauge(g, shards as f64);
+                let g = m.gauge("sweep_workers");
+                m.set_gauge(g, workers as f64);
+                // Register the running counters up front so the first
+                // scrape already shows the full schema at zero.
+                m.counter("sweep_shards_done_total");
+                m.counter("sweep_refs_total");
+                m.counter("sweep_probes_total");
+            });
+        }
+        SweepRecorder {
+            clock: SpanClock::new(),
+            serve,
             started: Instant::now(),
             workers,
             refs: AtomicU64::new(0),
         }
     }
 
-    fn heartbeat(&self, refs: u64) -> ServeHeartbeat {
-        let wall_seconds = self.started.elapsed().as_secs_f64();
-        ServeHeartbeat {
-            refs,
-            wall_seconds,
-            refs_per_second: if wall_seconds > 0.0 {
-                refs as f64 / wall_seconds
-            } else {
-                0.0
-            },
-            window_miss_ratio: None,
-            active_workers: Some(self.workers as u64),
-        }
+    /// Called on a worker's thread before it drains the queue. Track 0 is
+    /// the coordinating thread; workers are 1-based.
+    fn worker_start(&self, track: u32) -> WorkerSpans {
+        self.set_busy(track, false);
+        let mut buf = SpanBuffer::new(track, self.clock.clone());
+        let root = buf.open(format!("worker-{track}"), "worker");
+        let open = buf.open("queue-wait", "queue-wait");
+        WorkerSpans { buf, root, open }
     }
 
-    /// Publishes the closing heartbeat and returns the merged span trace.
-    /// The caller owns the handle's `finish_run` — a sweep CLI may want to
-    /// publish final tables before declaring the run done.
-    fn finish(self, shards: usize, workers: usize) -> SpanTrace {
-        let hb = self.heartbeat(self.refs.load(Ordering::Relaxed));
-        self.handle.publish_heartbeat(&hb);
-        self.inner.finish(shards, workers)
-    }
-}
-
-impl SweepTracer for ServeSweepTracer {
-    type Worker = SpanWorker;
-
-    fn worker_start(&self, track: u32) -> SpanWorker {
-        let worker = track.to_string();
-        self.handle.update_metrics(|m| {
-            let g = m.gauge(&labeled("sweep_worker_busy", "worker", &worker));
-            m.set_gauge(g, 0.0);
-            m.counter(&labeled("sweep_worker_shards_total", "worker", &worker));
-        });
-        self.inner.worker_start(track)
+    fn shard_begin(&self, w: &mut WorkerSpans, shard: &Shard) {
+        w.buf.close(w.open);
+        w.open = w.buf.open(shard.name(), "shard");
+        self.set_busy(w.buf.track(), true);
     }
 
-    fn shard_begin(&self, w: &mut SpanWorker, shard: &Shard) {
-        self.inner.shard_begin(w, shard);
+    /// Closes the shard span with its counters — sums over `outs`, one per
+    /// spec in the shard — and publishes the shard's progress.
+    fn shard_end(&self, w: &mut WorkerSpans, outs: &[RunTally], l1_passes: u64) {
+        let sum = |f: fn(&RunTally) -> u64| outs.iter().map(f).sum::<u64>();
+        let refs = sum(|o| o.hierarchy.processor_refs);
+        let probes = sum(|o| probe_total(&o.results));
+        let id = w.open;
+        w.buf.counter(id, "refs", refs);
+        w.buf.counter(id, "read_ins", sum(|o| o.hierarchy.read_ins));
+        w.buf
+            .counter(id, "read_in_hits", sum(|o| o.hierarchy.read_in_hits));
+        w.buf
+            .counter(id, "write_backs", sum(|o| o.hierarchy.write_backs));
+        w.buf.counter(id, "probes", probes);
+        w.buf.counter(id, "l1_passes", l1_passes);
+        w.buf.close(id);
+        w.open = w.buf.open("queue-wait", "queue-wait");
+        let Some(h) = &self.serve else { return };
+        let total = self.refs.fetch_add(refs, Ordering::Relaxed) + refs;
         let worker = w.buf.track().to_string();
-        self.handle.update_metrics(|m| {
-            let g = m.gauge(&labeled("sweep_worker_busy", "worker", &worker));
-            m.set_gauge(g, 1.0);
-        });
-    }
-
-    fn shard_end(&self, w: &mut SpanWorker, outs: &[ShardOutcome], l1_passes: u64) {
-        self.inner.shard_end(w, outs, l1_passes);
-        let worker = w.buf.track().to_string();
-        let shard_refs: u64 = outs.iter().map(|o| o.hierarchy.processor_refs).sum();
-        let shard_probes: u64 = outs.iter().map(|o| shard_probe_total(&o.results)).sum();
-        let refs = self.refs.fetch_add(shard_refs, Ordering::Relaxed) + shard_refs;
-        self.handle.update_metrics(|m| {
+        h.update_metrics(|m| {
             let c = m.counter("sweep_shards_done_total");
             m.inc(c, 1);
             let c = m.counter("sweep_refs_total");
-            m.inc(c, shard_refs);
+            m.inc(c, refs);
             let c = m.counter("sweep_probes_total");
-            m.inc(c, shard_probes);
+            m.inc(c, probes);
             let g = m.gauge(&labeled("sweep_worker_busy", "worker", &worker));
             m.set_gauge(g, 0.0);
             let c = m.counter(&labeled("sweep_worker_shards_total", "worker", &worker));
             m.inc(c, 1);
         });
-        self.handle.publish_heartbeat(&self.heartbeat(refs));
+        h.publish_heartbeat(&self.heartbeat(total));
     }
 
-    fn worker_finish(&self, w: SpanWorker) {
-        self.inner.worker_finish(w);
+    /// Called when the queue is drained; returns the worker's spans.
+    fn worker_finish(&self, mut w: WorkerSpans) -> SpanBuffer {
+        w.buf.close(w.open);
+        w.buf.close(w.root);
+        w.buf
     }
 
-    fn merge_begin(&self) {
-        self.inner.merge_begin();
+    /// Sets a served worker's busy gauge (registering its shard counter).
+    fn set_busy(&self, track: u32, busy: bool) {
+        let Some(h) = &self.serve else { return };
+        let worker = track.to_string();
+        h.update_metrics(|m| {
+            let g = m.gauge(&labeled("sweep_worker_busy", "worker", &worker));
+            m.set_gauge(g, if busy { 1.0 } else { 0.0 });
+            m.counter(&labeled("sweep_worker_shards_total", "worker", &worker));
+        });
     }
 
-    fn merge_end(&self) {
-        self.inner.merge_end();
+    fn heartbeat(&self, refs: u64) -> ServeHeartbeat {
+        let wall_seconds = self.started.elapsed().as_secs_f64();
+        live_heartbeat(refs, wall_seconds, None, self.workers)
     }
 }
 
-/// Total optimized probes a shard charged, summed over every strategy —
-/// the same accounting as the aggregate `ProbeStats` books.
-fn shard_probe_total(results: &[(ProbeStats, ProbeStats)]) -> u64 {
+/// Total optimized probes charged, summed over every strategy's books —
+/// the same accounting as the aggregate `ProbeStats`.
+fn probe_total(results: &[(ProbeStats, ProbeStats)]) -> u64 {
     results
         .iter()
         .map(|(opt, _)| opt.hits.probes + opt.misses.probes + opt.write_backs.probes)
@@ -963,97 +800,81 @@ pub fn simulate_many(specs: &[RunSpec]) -> Vec<RunOutcome> {
 /// `SETA_THREADS` and the machine's parallelism. Useful for measuring
 /// scaling and for tests that must not depend on the environment.
 pub fn simulate_many_with_threads(specs: &[RunSpec], threads: usize) -> Vec<RunOutcome> {
-    let (shards, threads) = plan(specs, threads);
-    simulate_sharded(specs, &shards, threads, &NoTracer)
+    simulate_many_traced_with_threads(specs, threads).0
 }
 
-/// [`simulate_many`] with span tracing: outcomes are bit-identical to the
-/// un-traced sweep (the tracer only brackets whole shards — the per-access
-/// hot path is untouched), plus a [`SpanTrace`] holding the sweep root,
-/// per-worker roots, per-shard spans with counter attachments, queue-wait
-/// spans, and the merge span. Feed the trace to
+/// [`simulate_many_with_threads`] returning the sweep's [`SpanTrace`] as
+/// well. Every sweep records spans at shard granularity (the per-access
+/// hot path is untouched), so the outcomes are the same bits: the trace
+/// holds the sweep root, per-worker roots, per-shard spans with counter
+/// attachments, queue-wait spans, and the merge span. Feed it to
 /// [`SweepReport`](crate::sweep_report::SweepReport) for utilization
 /// analysis or export it as Perfetto JSON.
-pub fn simulate_many_traced(specs: &[RunSpec]) -> (Vec<RunOutcome>, SpanTrace) {
-    simulate_many_traced_with_threads(specs, requested_threads())
-}
-
-/// [`simulate_many_traced`] with an explicit worker count.
 pub fn simulate_many_traced_with_threads(
     specs: &[RunSpec],
     threads: usize,
 ) -> (Vec<RunOutcome>, SpanTrace) {
-    let (shards, threads) = plan(specs, threads);
-    let tracer = SweepSpanTracer::new();
-    let outcomes = simulate_sharded(specs, &shards, threads, &tracer);
-    (outcomes, tracer.finish(shards.len(), threads))
+    simulate_sharded(specs, threads, None)
 }
 
-/// [`simulate_many_traced`] additionally publishing live sweep progress —
-/// shard/ref/probe counters, per-worker busy gauges, and heartbeats — to a
-/// monitoring server's [`ServeHandle`]. Outcomes stay bit-identical to the
-/// un-served sweep: publishing happens only between shards.
+/// [`simulate_many_traced_with_threads`] additionally publishing live
+/// sweep progress — shard/ref/probe counters, per-worker busy gauges, and
+/// heartbeats — to a monitoring server's [`ServeHandle`]. Outcomes stay
+/// bit-identical to the un-served sweep: publishing happens only between
+/// shards.
 ///
 /// The caller keeps responsibility for `finish_run` on the handle, so it
 /// can publish final summary metrics after the sweep before the server
 /// reports the run as done.
-pub fn simulate_many_served(
-    specs: &[RunSpec],
-    handle: ServeHandle,
-) -> (Vec<RunOutcome>, SpanTrace) {
-    simulate_many_served_with_threads(specs, requested_threads(), handle)
-}
-
-/// [`simulate_many_served`] with an explicit worker count.
 pub fn simulate_many_served_with_threads(
     specs: &[RunSpec],
     threads: usize,
     handle: ServeHandle,
 ) -> (Vec<RunOutcome>, SpanTrace) {
-    let (shards, threads) = plan(specs, threads);
-    let tracer = ServeSweepTracer::new(handle, shards.len(), threads);
-    let outcomes = simulate_sharded(specs, &shards, threads, &tracer);
-    (outcomes, tracer.finish(shards.len(), threads))
+    simulate_sharded(specs, threads, Some(handle))
 }
 
-fn simulate_sharded<T: SweepTracer>(
+fn simulate_sharded(
     specs: &[RunSpec],
-    shards: &[Shard],
     threads: usize,
-    tracer: &T,
-) -> Vec<RunOutcome> {
+    serve: Option<ServeHandle>,
+) -> (Vec<RunOutcome>, SpanTrace) {
     use std::sync::atomic::AtomicUsize;
 
     // Every counter is an integer sum, so the order outcomes fold in
     // cannot change a bit of the result.
-    fn fold(acc: &mut Option<ShardOutcome>, out: ShardOutcome) {
+    fn fold(acc: &mut Option<RunTally>, out: RunTally) {
         match acc {
             None => *acc = Some(out),
             Some(acc) => acc.merge(out),
         }
     }
 
+    let (shards, threads) = plan(specs, threads);
+    let recorder = SweepRecorder::new(serve, shards.len(), threads);
+    let mut main = SpanBuffer::new(0, recorder.clock.clone());
+    let sweep = main.open("sweep", "sweep");
+
     // One worker: drains the shared queue, folding each shard's per-spec
     // outcomes into its own per-spec totals as it goes, and reuses its
     // scratch buffers across shards.
     let next = AtomicUsize::new(0);
-    let drain = |track: u32| -> Vec<Option<ShardOutcome>> {
-        let mut worker = tracer.worker_start(track);
+    let drain = |track: u32| -> (Vec<Option<RunTally>>, SpanBuffer) {
+        let mut spans = recorder.worker_start(track);
         let mut scratch = ShardScratch::default();
-        let mut totals: Vec<Option<ShardOutcome>> = specs.iter().map(|_| None).collect();
+        let mut totals: Vec<Option<RunTally>> = specs.iter().map(|_| None).collect();
         while let Some(shard) = shards.get(next.fetch_add(1, Ordering::Relaxed)) {
-            tracer.shard_begin(&mut worker, shard);
+            recorder.shard_begin(&mut spans, shard);
             let (outs, l1_passes) = shard.run(specs, &mut scratch);
-            tracer.shard_end(&mut worker, &outs, l1_passes);
+            recorder.shard_end(&mut spans, &outs, l1_passes);
             debug_assert_eq!(shard.specs.len(), outs.len(), "one outcome per spec");
             for (&spec, out) in shard.specs.iter().zip(outs) {
                 fold(&mut totals[spec], out);
             }
         }
-        tracer.worker_finish(worker);
-        totals
+        (totals, recorder.worker_finish(spans))
     };
-    let per_worker: Vec<Vec<Option<ShardOutcome>>> = if threads <= 1 {
+    let per_worker: Vec<(Vec<Option<RunTally>>, SpanBuffer)> = if threads <= 1 {
         vec![drain(1)]
     } else {
         std::thread::scope(|scope| {
@@ -1070,9 +891,14 @@ fn simulate_sharded<T: SweepTracer>(
         })
     };
 
-    tracer.merge_begin();
-    let mut outcomes: Vec<Option<ShardOutcome>> = specs.iter().map(|_| None).collect();
-    for totals in per_worker {
+    let mut trace = SpanTrace::new();
+    trace.name_track(0, "main");
+    let merge = main.open("merge", "merge");
+    let mut outcomes: Vec<Option<RunTally>> = specs.iter().map(|_| None).collect();
+    for (totals, spans) in per_worker {
+        let track = spans.track();
+        trace.name_track(track, format!("worker-{track}"));
+        trace.absorb(spans);
         for (acc, out) in outcomes.iter_mut().zip(totals) {
             if let Some(out) = out {
                 fold(acc, out);
@@ -1084,11 +910,18 @@ fn simulate_sharded<T: SweepTracer>(
         .zip(specs)
         .map(|(acc, spec)| {
             acc.expect("every spec had at least one shard")
-                .into_outcome(spec)
+                .into_outcome(spec.l1, spec.l2, &spec.strategies())
         })
         .collect();
-    tracer.merge_end();
-    outcomes
+    main.close(merge);
+    main.counter(sweep, "shards", shards.len() as u64);
+    main.counter(sweep, "workers", threads as u64);
+    main.close(sweep);
+    trace.absorb(main);
+    if let Some(h) = &recorder.serve {
+        h.publish_heartbeat(&recorder.heartbeat(recorder.refs.load(Ordering::Relaxed)));
+    }
+    (outcomes, trace)
 }
 
 /// Results of a deep-hierarchy run: probe statistics at the last level.
@@ -1151,15 +984,7 @@ where
             .collect(),
         processor_refs: hierarchy.processor_refs(),
         global_miss_ratio: hierarchy.global_miss_ratio(),
-        strategies: strategies
-            .iter()
-            .zip(scorer.results)
-            .map(|(s, (probes, probes_no_opt))| StrategyResult {
-                name: s.name(),
-                probes,
-                probes_no_opt,
-            })
-            .collect(),
+        strategies: strategy_results(strategies, scorer.results),
         mru_hist: scorer.mru_hist,
     }
 }

@@ -1,7 +1,7 @@
 //! Post-run utilization analysis of a traced sweep.
 //!
-//! [`simulate_many_traced`](crate::runner::simulate_many_traced) records
-//! where a sharded sweep's wall time went; [`SweepReport::from_trace`]
+//! Every sharded sweep records where its wall time went (see
+//! [`simulate_many_traced_with_threads`](crate::runner::simulate_many_traced_with_threads)); [`SweepReport::from_trace`]
 //! condenses that trace into the questions that matter before scaling the
 //! runner further: how busy was each worker, how skewed were the shards,
 //! which shard was on the critical path, and how much time was lost to
@@ -53,7 +53,8 @@ pub struct SweepReport {
 
 impl SweepReport {
     /// Derives the report from a sweep's span trace (as produced by
-    /// `simulate_many_traced`; other traces yield an empty report).
+    /// `simulate_many_traced_with_threads`; other traces yield an empty
+    /// report).
     pub fn from_trace(trace: &SpanTrace) -> SweepReport {
         let wall_micros = trace.with_cat("sweep").map(|s| s.dur_us).max().unwrap_or(0);
         let merge_micros = trace.with_cat("merge").map(|s| s.dur_us).sum();

@@ -2,11 +2,14 @@
 //! instrumented simulation: bind an ephemeral port, hold the run at a
 //! deterministic mid-point with a gated event iterator, scrape `/metrics`
 //! while the run is provably in flight, stream `/events` to completion,
-//! and check the final scrape against the run's own outcome.
+//! and check the final scrape against the run's own outcome. A served
+//! sweep's shard counters are checked against its outcomes and spans.
 
 use seta_cache::CacheConfig;
 use seta_sim::metered::{simulate_instrumented, MeterConfig};
-use seta_sim::runner::standard_strategies;
+use seta_sim::runner::{
+    simulate_many_served_with_threads, simulate_many_with_threads, standard_strategies, RunSpec,
+};
 use seta_trace::gen::{AtumLike, AtumLikeConfig};
 use seta_trace::TraceEvent;
 use std::io::{Read, Write};
@@ -250,4 +253,55 @@ fn live_server_tracks_a_real_instrumented_run_end_to_end() {
             "a post-shutdown connection must not be serviced: {buf}"
         );
     }
+}
+
+#[test]
+fn served_sweep_counters_match_its_outcomes_and_shard_spans() {
+    let server = seta_obs::Server::bind("127.0.0.1:0").expect("bind ephemeral port");
+    let addr = server.local_addr();
+
+    // Four cold specs sharing one 3-segment trace: at 2 workers the group
+    // is sliced, so several shards run on each worker.
+    let mut trace = AtumLikeConfig::paper_like();
+    trace.segments = 3;
+    trace.refs_per_segment = 2_000;
+    let specs: Vec<RunSpec> = [1u32, 2, 4, 8]
+        .iter()
+        .map(|&assoc| RunSpec {
+            l1: CacheConfig::direct_mapped(4 * 1024, 16).unwrap(),
+            l2: CacheConfig::new(32 * 1024, 32, assoc).unwrap(),
+            trace: trace.clone(),
+            seed: 5,
+            tag_bits: 16,
+        })
+        .collect();
+    let plain = simulate_many_with_threads(&specs, 2);
+    let (served, spans) = simulate_many_served_with_threads(&specs, 2, server.handle());
+    assert_eq!(format!("{served:?}"), format!("{plain:?}"));
+
+    let (status, body) = http_get(addr, "/metrics");
+    assert_eq!(status, 200);
+    let fin = parse_prometheus(&body);
+    let shards = spans.with_cat("shard").count() as f64;
+    assert!(shards > 0.0, "the sweep records shard spans");
+    assert_eq!(sample(&fin, "sweep_shards_total"), shards);
+    assert_eq!(sample(&fin, "sweep_shards_done_total"), shards);
+    let refs: u64 = served.iter().map(|o| o.hierarchy.processor_refs).sum();
+    assert_eq!(sample(&fin, "sweep_refs_total") as u64, refs);
+    let probes: u64 = served
+        .iter()
+        .flat_map(|o| &o.strategies)
+        .map(|s| s.probes.hits.probes + s.probes.misses.probes + s.probes.write_backs.probes)
+        .sum();
+    assert_eq!(sample(&fin, "sweep_probes_total") as u64, probes);
+    let busy: Vec<&(String, f64)> = fin
+        .iter()
+        .filter(|(name, _)| name.starts_with("sweep_worker_busy{"))
+        .collect();
+    assert_eq!(busy.len(), 2, "one busy gauge per worker: {busy:?}");
+    assert!(
+        busy.iter().all(|(_, v)| *v == 0.0),
+        "every worker is idle at the end: {busy:?}"
+    );
+    server.shutdown();
 }

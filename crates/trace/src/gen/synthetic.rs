@@ -73,11 +73,6 @@ impl Irm {
         })
     }
 
-    /// Number of distinct blocks in the pool.
-    pub fn pool_size(&self) -> usize {
-        self.pool.len()
-    }
-
     /// Produces the next reference.
     pub fn next_record(&mut self) -> TraceRecord {
         let addr = self.pool[self.rng.gen_range(0..self.pool.len())];

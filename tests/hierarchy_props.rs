@@ -131,7 +131,7 @@ proptest! {
                     let hint = filled[k][miss.frame];
                     let seen = &mut seen[k];
                     let mut observe = |r: &L2RequestView<'_>| seen.push(request(r));
-                    half.serve(miss, &mut stats[k], &mut observe, &mut ());
+                    half.serve(miss, &mut stats[k], &mut observe);
                     if miss.write_back.is_some() {
                         let (kind, _, hit_way, _, hint_correct) = *seen.last().expect("observed");
                         prop_assert_eq!(kind, L2RequestKind::WriteBack);

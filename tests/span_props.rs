@@ -1,7 +1,7 @@
 //! Property tests for the span tracing layer: recording spans must never
 //! change what a run computes, and the recorded spans must be structurally
-//! sound. For any sweep spec and any worker count, `simulate_many_traced`
-//! returns outcomes bit-identical to the sequential reference; every
+//! sound. For any sweep spec and any worker count,
+//! `simulate_many_traced_with_threads` returns outcomes bit-identical to the sequential reference; every
 //! track's spans are well-nested with monotone timestamps; and the shard
 //! spans' counter attachments sum exactly to the aggregate run statistics.
 
